@@ -154,10 +154,16 @@ def _add_common_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--output", help="write to this path (atomic); default stdout")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads (also via SALTLIB_THREADS)")
+                    help="validated only: a positive integer (also via SALTLIB_THREADS)")
 
 
-def _resolve_threads(args) -> None:
+def _validate_threads(args) -> None:
+    """Reject a non-integer SALTLIB_THREADS or a thread count below 1.
+
+    The setting changes nothing else: numerics run in one process, and BLAS
+    reads its thread caps (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS,
+    MKL_NUM_THREADS) when numpy loads, before any argument is parsed.
+    """
     n = args.threads
     if n is None:
         env = os.environ.get("SALTLIB_THREADS")
@@ -168,10 +174,6 @@ def _resolve_threads(args) -> None:
                 raise SchemaError("SALTLIB_THREADS", f"not an integer: {env!r}") from None
     if n is not None and n < 1:
         raise SchemaError("threads", "must be >= 1")
-    # single-process numerics; the setting caps BLAS pools for reproducibility
-    if n is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
 
 
 def _build_system(args) -> tuple[HybridSystem, Optional[object]]:
@@ -711,7 +713,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _resolve_threads(args)
+        _validate_threads(args)
         return args.fn(args)
     except ZenoSuspected as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -171,10 +171,11 @@ def _psd_sqrt(sigma: np.ndarray) -> np.ndarray:
 
 
 def _rk4_batch(f, t, X, h):
-    h = np.asarray(h, dtype=float)
-    if h.ndim == 0:
-        h = np.full(X.shape[0], float(h))
-    hh = h[:, None]
+    if np.ndim(h) == 0:
+        h = hh = float(h)
+    else:
+        h = np.asarray(h, dtype=float)
+        hh = h[:, None]
     k1 = f(t, X)
     k2 = f(t + 0.5 * h, X + 0.5 * hh * k1)
     k3 = f(t + 0.5 * h, X + 0.5 * hh * k2)
@@ -202,6 +203,22 @@ def _arm_batch(vals: np.ndarray, two_sided: Sequence[bool]) -> np.ndarray:
     return armed
 
 
+def _rows_by_mode(mode: np.ndarray, rows: Optional[np.ndarray] = None) -> dict:
+    """Row indices per occupied mode, in ascending mode order.
+
+    Without `rows` the whole batch is grouped, and a mode that holds every
+    row gets slice(None), so that its fields and guards run on the batch
+    array itself instead of a gathered copy.
+    """
+    if rows is None:
+        present = np.unique(mode)
+        if present.size == 1:
+            return {int(present[0]): slice(None)}
+        rows = np.arange(mode.size)
+    modes = mode[rows]
+    return {int(m): rows[modes == m] for m in np.unique(modes)}
+
+
 def _batch_rollout(sys: HybridSystem, mode0: ModeId, X0: np.ndarray, t0: float,
                    t_final: float, opts: SimOptions) -> tuple[np.ndarray, np.ndarray]:
     """Integrate a batch of samples on a common macro grid.
@@ -210,7 +227,17 @@ def _batch_rollout(sys: HybridSystem, mode0: ModeId, X0: np.ndarray, t0: float,
     that all samples share one step grid (event handling restarts mid-step
     and rejoins the grid at the step's end). Requires fields, guards, and
     resets that broadcast over leading batch axes; time enters the stage
-    evaluations as an array once samples have fired events.
+    evaluations as an array during event localization and for rows that
+    restart mid-step after an event, and as a scalar otherwise.
+
+    The rows of each occupied mode are kept as a row set that is rebuilt
+    only in a step where an event moved rows; a mode that holds every row
+    works on the batch array itself. A step without events therefore costs
+    one RK4 step and one guard evaluation per occupied mode, with no
+    whole-batch copy, gather or sort. The per-row event state (left
+    bracket ends, earliest crossings) is allocated only in steps where some
+    row fires, and a repeat pass inside a step re-checks only the rows
+    that fired in the pass before it.
 
     Returns (final states (N, n), event-sequence codes (N,)).
     """
@@ -249,29 +276,47 @@ def _batch_rollout(sys: HybridSystem, mode0: ModeId, X0: np.ndarray, t0: float,
     edges = t0 + np.arange(n_steps + 1) * opts.step
     edges[-1] = t_final
 
+    members = _rows_by_mode(mode)
     for k in range(n_steps):
         t_a, t_b = float(edges[k]), float(edges[k + 1])
         if t_b <= t_a:
             continue
-        t_left = np.full(N, t_a)
-        X_left = X.copy()
-        X_new = np.empty_like(X)
-        for m in np.unique(mode):
-            rows = np.where(mode == m)[0]
-            X_new[rows] = _rk4_batch(sys.modes[m].f, t_a, X[rows], t_b - t_a)
+        # drop the previous step's event arrays before this step allocates
+        t_left = X_left = best_out = best_x = None
+        if len(members) == 1:
+            X_new = _rk4_batch(sys.modes[next(iter(members))].f, t_a, X, t_b - t_a)
+        else:
+            X_new = np.empty_like(X)
+            for m, rows in members.items():
+                X_new[rows] = _rk4_batch(sys.modes[m].f, t_a, X[rows], t_b - t_a)
 
+        # pass 0 checks every row; a later pass only the rows that fired in
+        # the pass before it, as no other row's state, mode or arming changed
+        check = members
+        step_vals = {}
+        moved = False
         for _pass in range(8):
-            best_t = np.full(N, np.inf)
-            best_out = np.full(N, -1, dtype=np.int64)
-            best_x = np.zeros_like(X)
-            for m in np.unique(mode):
-                rows = np.where(mode == m)[0]
+            best_t = None
+            for m, rows in check.items():
                 outs = out_by_mode[m]
                 if not outs:
                     continue
                 vals = guard_matrix(m, t_b, X_new[rows])
+                if _pass == 0:
+                    step_vals[m] = vals
                 arm_m = armed[rows, : len(outs)]
                 fired = ((arm_m > 0) & (vals <= 0.0)) | ((arm_m < 0) & (vals >= 0.0))
+                if not fired.any():
+                    continue
+                if isinstance(rows, slice):
+                    rows = np.arange(N)
+                if best_t is None:
+                    if t_left is None:
+                        t_left = np.full(N, t_a)
+                        X_left = X.copy()
+                    best_t = np.full(N, np.inf)
+                    best_out = np.full(N, -1, dtype=np.int64)
+                    best_x = np.zeros_like(X)
                 for j in range(len(outs)):
                     sub = rows[fired[:, j]]
                     if sub.size == 0:
@@ -307,11 +352,13 @@ def _batch_rollout(sys: HybridSystem, mode0: ModeId, X0: np.ndarray, t0: float,
                     best_out[sub] = np.where(better, j, best_out[sub])
                     best_x[sub] = np.where(better[:, None], x_e, best_x[sub])
 
-            fired_rows = np.where(best_out >= 0)[0]
-            if fired_rows.size == 0:
+            if best_t is None:
                 break
-            for m in np.unique(mode[fired_rows]):
-                rows_m = fired_rows[mode[fired_rows] == m]
+            fired_rows = np.where(best_out >= 0)[0]
+            # the modes the rows fired from, read before any transition moves them
+            fired_modes = mode[fired_rows]
+            for m in np.unique(fired_modes):
+                rows_m = fired_rows[fired_modes == m]
                 outs = out_by_mode[m]
                 for j in np.unique(best_out[rows_m]):
                     sub = rows_m[best_out[rows_m] == j]
@@ -339,21 +386,27 @@ def _batch_rollout(sys: HybridSystem, mode0: ModeId, X0: np.ndarray, t0: float,
                             vals0, [t2.guard.two_sided for _, t2 in outs_new]
                         )
                     X_new[sub] = _rk4_batch(sys.modes[tr.to_mode].f, t_e, x_plus, t_b - t_e)
+            moved = True
+            check = _rows_by_mode(mode, fired_rows)
         else:
             raise EventLocalizationError(
                 "more than 8 events inside one macro step; reduce the step size"
             )
 
-        # commit the step; arm any disarmed guards that moved in-domain
+        # commit the step; arm any disarmed guards that moved in-domain. The
+        # pass-0 guard values still hold for every row unless an event moved some.
         X = X_new
-        for m in np.unique(mode):
-            rows = np.where(mode == m)[0]
+        if moved:
+            members = _rows_by_mode(mode)
+        for m, rows in members.items():
             outs = out_by_mode[m]
             if not outs:
                 continue
-            vals = guard_matrix(m, t_b, X[rows])
-            fresh = _arm_batch(vals, [tr.guard.two_sided for _, tr in outs])
             cur = armed[rows, : len(outs)]
+            if cur.all():
+                continue
+            vals = guard_matrix(m, t_b, X[rows]) if moved else step_vals[m]
+            fresh = _arm_batch(vals, [tr.guard.two_sided for _, tr in outs])
             armed[rows, : len(outs)] = np.where(cur == 0, fresh, cur)
 
     return X, code

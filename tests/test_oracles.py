@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import saltlib as sl
+from saltlib.oracles import _batch_rollout
 
 
 def _nonlinear_two_mode():
@@ -162,6 +163,57 @@ def test_monte_carlo_loop_and_vectorized_paths_agree():
     loop = sl.monte_carlo_covariance(sys_, 0, np.array([0.0, 0.1]), 1e-4 * np.eye(2),
                                      (0.0, 0.2), vectorized=False, **kw)
     assert float(np.abs(vec - loop).max()) <= 2e-15
+
+
+def _event_code(traj, n_tr):
+    code = 0
+    for ev in traj.events:
+        code = code * (n_tr + 1) + (ev.transition_index + 1)
+    return code
+
+
+def _elastic_incline_samples(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.uniform(-0.1, 0.1, n), rng.uniform(0.2, 0.9, n),
+                            rng.uniform(-0.8, 0.8, n), rng.uniform(-0.5, 0.5, n)])
+
+
+def test_batch_rollout_applies_each_transition_once_per_pass():
+    # row 0 lands in V in the same pass in which row 1 fires from V; the
+    # V transition must not be applied to row 0 as well
+    _, sys_ = sl.ball_drop(sl.BallDropParams(theta=0.2, e=0.8))
+    X0 = np.array([[0.0098, 0.7836, 0.3104, 0.4072],
+                   [-0.076, 0.3215, 0.7224, -0.1343]])
+    opts = sl.SimOptions()
+    _, codes = _batch_rollout(sys_, 0, X0, 0.0, 0.6, opts)
+    n_tr = len(sys_.transitions)
+    per_row = [_event_code(sl.simulate(sys_, 0, x, (0.0, 0.6), opts), n_tr) for x in X0]
+    assert per_row == [1, 5]
+    assert codes.tolist() == per_row
+
+
+def test_batch_rollout_event_codes_match_per_row_simulation():
+    _, sys_ = sl.ball_drop(sl.BallDropParams(theta=0.2, e=0.8))
+    opts = sl.SimOptions(step=2e-3)
+    X0 = _elastic_incline_samples(200, seed=0)
+    _, codes = _batch_rollout(sys_, 0, X0, 0.0, 0.6, opts)
+    n_tr = len(sys_.transitions)
+    per_row = [_event_code(sl.simulate(sys_, 0, x, (0.0, 0.6), opts), n_tr) for x in X0]
+    # impact only, impact then apex, and a second impact all occur
+    assert len(set(per_row)) == 3
+    assert codes.tolist() == per_row
+
+
+def test_batch_rollout_is_equivariant_under_row_permutation():
+    _, sys_ = sl.ball_drop(sl.BallDropParams(theta=0.2, e=0.8))
+    opts = sl.SimOptions(step=2e-3)
+    X0 = _elastic_incline_samples(200, seed=1)
+    perm = np.random.default_rng(2).permutation(X0.shape[0])
+    X_f, codes = _batch_rollout(sys_, 0, X0, 0.0, 0.6, opts)
+    X_p, codes_p = _batch_rollout(sys_, 0, X0[perm], 0.0, 0.6, opts)
+    assert len(set(codes.tolist())) > 1
+    np.testing.assert_array_equal(codes_p, codes[perm])
+    np.testing.assert_array_equal(X_p, X_f[perm])
 
 
 def test_monte_carlo_gap_shrinks_like_root_n():
