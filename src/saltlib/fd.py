@@ -52,14 +52,7 @@ def diff_t(f: Callable[[float, np.ndarray], np.ndarray], t: float, x: np.ndarray
 
 def jac_q(fn: Callable[[np.ndarray], np.ndarray], q: np.ndarray) -> np.ndarray:
     """Jacobian of a configuration-only map fn(q); shape (len(fn), len(q))."""
-    q = np.asarray(q, dtype=float)
-    h = _steps(q)
-    cols = []
-    for i in range(q.size):
-        e = np.zeros_like(q)
-        e[i] = h[i]
-        cols.append((np.asarray(fn(q + e), dtype=float) - np.asarray(fn(q - e), dtype=float)) / (2.0 * h[i]))
-    return np.stack(cols, axis=-1)
+    return jac_x(lambda _t, qq: fn(qq), 0.0, q)
 
 
 def directional_matrix_derivative(J: Callable[[np.ndarray], np.ndarray], q: np.ndarray,

@@ -330,20 +330,23 @@ def _batch_rollout(sys: HybridSystem, mode0: ModeId, X0: np.ndarray, t0: float,
                     g_lo = sgn * _guard_batch(guard, t_lo, x_lo)
                     g_hi = sgn * _guard_batch(guard, t_hi, x_hi)
                     f_m = sys.modes[m].f
+                    # each row stops at its own tol_t, as simulate() does, so its
+                    # event time does not depend on the rows that fire with it
                     for _ in range(200):
-                        width = t_hi - t_lo
-                        if float(width.max()) <= opts.tol_t:
+                        active = t_hi - t_lo > opts.tol_t
+                        if not active.any():
                             break
                         t_mid = 0.5 * (t_lo + t_hi)
                         x_mid = _rk4_batch(f_m, t_left[sub], X_left[sub], t_mid - t_left[sub])
                         g_mid = sgn * _guard_batch(guard, t_mid, x_mid)
-                        hi_side = g_mid > 0.0
-                        t_lo = np.where(hi_side, t_mid, t_lo)
-                        t_hi = np.where(hi_side, t_hi, t_mid)
-                        x_lo = np.where(hi_side[:, None], x_mid, x_lo)
-                        x_hi = np.where(hi_side[:, None], x_mid, x_hi)
-                        g_lo = np.where(hi_side, g_mid, g_lo)
-                        g_hi = np.where(hi_side, g_mid, g_hi)
+                        up = active & (g_mid > 0.0)
+                        down = active & ~up
+                        t_lo = np.where(up, t_mid, t_lo)
+                        t_hi = np.where(down, t_mid, t_hi)
+                        x_lo = np.where(up[:, None], x_mid, x_lo)
+                        x_hi = np.where(down[:, None], x_mid, x_hi)
+                        g_lo = np.where(up, g_mid, g_lo)
+                        g_hi = np.where(down, g_mid, g_hi)
                     pick_hi = np.abs(g_hi) <= np.abs(g_lo)
                     t_e = np.where(pick_hi, t_hi, t_lo)
                     x_e = np.where(pick_hi[:, None], x_hi, x_lo)

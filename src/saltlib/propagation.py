@@ -1,10 +1,12 @@
 """Propagation of linearizations, covariances, and quadratic values.
 
 Within a mode the variational equation dM/dt = D_x f(t, x(t)) M is integrated
-jointly with the state on the same RK4 grid. Across events the saltation
-matrix applies. Composing the two along a trajectory yields fundamental and
-monodromy matrices; the same sandwich pushes covariances forward and value
-matrices backward.
+jointly with the state by RK4. Across events the saltation matrix applies.
+A trajectory is linearized once, on its own sample grid: one flow matrix per
+sample interval (subdivided only where an interval is wider than `step`) and
+one saltation matrix per event. Fundamental and monodromy matrices,
+covariance push-forwards and the backward Riccati pass are folds over that
+one linearization.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import NonFiniteState, NotPeriodic, SingularInputPenalty
 from .saltation import SaltationResult, saltation_matrix
-from .simulate import DEFAULT_STEP
+from .simulate import DEFAULT_STEP, _substeps
 from .system import HybridSystem, ModeId
 from .trajectory import HybridTrajectory
 
@@ -56,33 +58,37 @@ def _joint_rk4_step(f, jac, t, x, M, h):
     return x_new, m_new
 
 
-def _variational(sys: HybridSystem, mode: ModeId, t0: float, x0: np.ndarray,
-                 t1: float, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate state and variational matrix from t0 to t1; returns (x1, A)."""
+def variational_flow(sys: HybridSystem, mode: ModeId, t0: float, x0: np.ndarray,
+                     t1: float, step: float = DEFAULT_STEP) -> np.ndarray:
+    """Linearized flow map A of one smooth mode over [t0, t1] around x0's orbit."""
     field = sys.modes[mode]
-    f = field.f
-    jac = field.jacobian
     x = np.asarray(x0, dtype=float).copy()
     M = np.eye(field.dim)
     span = t1 - t0
     if span == 0.0:
-        return x, M
-    n_sub = max(1, int(np.ceil(abs(span) / step)))
+        return M
+    n_sub = _substeps(t0, t1, step)
     h = span / n_sub
     t = t0
     for k in range(n_sub):
-        x, M = _joint_rk4_step(f, jac, t, x, M, h)
+        x, M = _joint_rk4_step(field.f, field.jacobian, t, x, M, h)
         t = t0 + (k + 1) * h
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(M))):
         raise NonFiniteState(f"non-finite variational flow over [{t0}, {t1}] in mode {mode}")
-    return x, M
-
-
-def variational_flow(sys: HybridSystem, mode: ModeId, t0: float, x0: np.ndarray,
-                     t1: float, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Linearized flow map A of one smooth mode over [t0, t1] around x0's orbit."""
-    _, M = _variational(sys, mode, t0, x0, t1, step)
     return M
+
+
+def _linearize(sys: HybridSystem, traj: HybridTrajectory,
+               step: float) -> tuple[list[list[np.ndarray]], list[np.ndarray]]:
+    """One pass over a trajectory in order: per segment, the flow matrix of
+    every sample interval on the trajectory's own grid; per event, its Xi."""
+    flows = [
+        [variational_flow(sys, seg.mode, float(seg.times[i]), seg.states[i],
+                          float(seg.times[i + 1]), step)
+         for i in range(seg.times.size - 1)]
+        for seg in traj.segments
+    ]
+    return flows, [saltation_matrix(sys, ev).xi for ev in traj.events]
 
 
 @dataclass(frozen=True)
@@ -97,14 +103,13 @@ class FundamentalMatrix:
 
 def fundamental_matrix(sys: HybridSystem, traj: HybridTrajectory,
                        step: float = DEFAULT_STEP) -> FundamentalMatrix:
-    """Compose per-segment variational flows with saltation matrices."""
+    """Compose per-interval variational flows with saltation matrices."""
+    flows, xis = _linearize(sys, traj, step)
     phi = np.eye(sys.dim(traj.segments[0].mode))
-    for k, seg in enumerate(traj.segments):
+    for k, seg_flows in enumerate(flows):
         if k > 0:
-            xi = saltation_matrix(sys, traj.events[k - 1]).xi
-            phi = xi @ phi
-        if seg.times.size > 1:
-            A = variational_flow(sys, seg.mode, seg.t_start, seg.states[0], seg.t_end, step)
+            phi = xis[k - 1] @ phi
+        for A in seg_flows:
             phi = A @ phi
     return FundamentalMatrix(
         phi=phi, t_start=traj.t_start, t_end=traj.t_end, n_events=len(traj.events)
@@ -217,18 +222,16 @@ def propagate_covariance(sys: HybridSystem, traj: HybridTrajectory,
                          sigma0: np.ndarray, step: float = DEFAULT_STEP) -> list[CovarianceState]:
     """Push a covariance along a trajectory: A Sigma A^T in segments,
     Xi Sigma Xi^T at events. One output per trajectory sample."""
+    flows, xis = _linearize(sys, traj, step)
     sigma = _sym(np.asarray(sigma0, dtype=float))
     out: list[CovarianceState] = []
-    for k, seg in enumerate(traj.segments):
+    for k, (seg, seg_flows) in enumerate(zip(traj.segments, flows)):
         if k > 0:
-            xi = saltation_matrix(sys, traj.events[k - 1]).xi
-            sigma = _sym(xi @ sigma @ xi.T)
+            sigma = _sym(xis[k - 1] @ sigma @ xis[k - 1].T)
         out.append(CovarianceState(t=float(seg.times[0]), mode=seg.mode, sigma=sigma.copy()))
-        for i in range(seg.times.size - 1):
-            t0, t1 = float(seg.times[i]), float(seg.times[i + 1])
-            A = variational_flow(sys, seg.mode, t0, seg.states[i], t1, step)
+        for t1, A in zip(seg.times[1:], seg_flows):
             sigma = _sym(A @ sigma @ A.T)
-            out.append(CovarianceState(t=t1, mode=seg.mode, sigma=sigma.copy()))
+            out.append(CovarianceState(t=float(t1), mode=seg.mode, sigma=sigma.copy()))
     return out
 
 
@@ -305,23 +308,7 @@ def hybrid_lqr_backward(
     end exactly at event times this realizes the smooth-jump-smooth sandwich.
     """
     q_fn, v_fn, b_fn = _as_matrix_fn(Q), _as_matrix_fn(V), _as_matrix_fn(B)
-
-    # forward sweep: assemble nodes and steps
-    node_times: list[float] = []
-    node_modes: list[ModeId] = []
-    steps: list[tuple] = []  # ("flow", t0, dt, A, B_k, Q_k, V_k) | ("jump", event_idx)
-    for k, seg in enumerate(traj.segments):
-        if k > 0:
-            steps.append(("jump", k - 1))
-        node_times.append(float(seg.times[0]))
-        node_modes.append(seg.mode)
-        for i in range(seg.times.size - 1):
-            t0, t1 = float(seg.times[i]), float(seg.times[i + 1])
-            dt = t1 - t0
-            A = variational_flow(sys, seg.mode, t0, seg.states[i], t1, step)
-            steps.append(("flow", t0, dt, A, dt * b_fn(t0), dt * q_fn(t0), dt * v_fn(t0)))
-            node_times.append(t1)
-            node_modes.append(seg.mode)
+    flows, xis = _linearize(sys, traj, step)
 
     p = _sym(np.asarray(P_terminal, dtype=float))
     values_rev: list[np.ndarray] = [p.copy()]
@@ -329,33 +316,35 @@ def hybrid_lqr_backward(
     gain_times_rev: list[float] = []
     gain_ends_rev: list[float] = []
 
-    for entry in reversed(steps):
-        if entry[0] == "jump":
-            ev = traj.events[entry[1]]
-            res = saltation_matrix(sys, ev)
-            p = _sym(res.xi.T @ p @ res.xi)
+    for k in reversed(range(len(traj.segments))):
+        times = traj.segments[k].times
+        for i in reversed(range(len(flows[k]))):
+            A = flows[k][i]
+            t0 = float(times[i])
+            dt = float(times[i + 1]) - t0
+            B_k, Q_k, V_k = dt * b_fn(t0), dt * q_fn(t0), dt * v_fn(t0)
+            S = V_k + B_k.T @ p @ B_k
+            try:
+                np.linalg.cholesky(_sym(S))
+            except np.linalg.LinAlgError as exc:
+                raise SingularInputPenalty(
+                    f"input penalty not positive definite on interval starting t={t0}"
+                ) from exc
+            K = np.linalg.solve(_sym(S), B_k.T @ p @ A)
+            p = _sym(Q_k + A.T @ p @ (A - B_k @ K))
+            gains_rev.append(K)
+            gain_times_rev.append(t0)
+            gain_ends_rev.append(t0 + dt)
             values_rev.append(p.copy())
-            continue
-        _, t0, dt, A, B_k, Q_k, V_k = entry
-        S = V_k + B_k.T @ p @ B_k
-        try:
-            np.linalg.cholesky(_sym(S))
-        except np.linalg.LinAlgError as exc:
-            raise SingularInputPenalty(
-                f"input penalty not positive definite on interval starting t={t0}"
-            ) from exc
-        K = np.linalg.solve(_sym(S), B_k.T @ p @ A)
-        p = _sym(Q_k + A.T @ p @ (A - B_k @ K))
-        gains_rev.append(K)
-        gain_times_rev.append(t0)
-        gain_ends_rev.append(t0 + dt)
-        values_rev.append(p.copy())
+        if k > 0:
+            p = _sym(xis[k - 1].T @ p @ xis[k - 1])
+            values_rev.append(p.copy())
 
     return LqrSolution(
         gain_times=np.asarray(gain_times_rev[::-1], dtype=float),
         gain_ends=np.asarray(gain_ends_rev[::-1], dtype=float),
         gains=tuple(gains_rev[::-1]),
-        node_times=np.asarray(node_times, dtype=float),
-        node_modes=tuple(node_modes),
+        node_times=np.concatenate([seg.times for seg in traj.segments]).astype(float),
+        node_modes=tuple(seg.mode for seg in traj.segments for _ in seg.times),
         values=tuple(values_rev[::-1]),
     )

@@ -58,6 +58,17 @@ def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, x: np.ndarr
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _substeps(t0: float, t1: float, step: float) -> int:
+    """Number of equal RK4 substeps of at most `step` spanning [t0, t1].
+
+    A span that exceeds a multiple of `step` only by the rounding of its
+    endpoints (a grid interval is a difference of accumulated times) counts
+    as that multiple, so its substeps may exceed `step` by that rounding.
+    """
+    slack = 4.0 * math.ulp(max(abs(t0), abs(t1)))
+    return max(1, math.ceil((abs(t1 - t0) - slack) / step))
+
+
 def flow_to(f: Callable[[float, np.ndarray], np.ndarray], t0: float, x0: np.ndarray,
             t1: float, step: float) -> np.ndarray:
     """Integrate xdot = f(t, x) from t0 to t1 with RK4 substeps of at most `step`.
@@ -67,7 +78,7 @@ def flow_to(f: Callable[[float, np.ndarray], np.ndarray], t0: float, x0: np.ndar
     span = t1 - t0
     if span == 0.0:
         return np.array(x0, dtype=float, copy=True)
-    n_sub = max(1, int(math.ceil(abs(span) / step)))
+    n_sub = _substeps(t0, t1, step)
     h = span / n_sub
     x = np.array(x0, dtype=float, copy=True)
     t = t0

@@ -216,6 +216,46 @@ def test_batch_rollout_is_equivariant_under_row_permutation():
     np.testing.assert_array_equal(X_p, X_f[perm])
 
 
+def _two_crossing_system():
+    # constant fields, coordinate guards and an identity reset, all written
+    # elementwise (no matmul), so a row's arithmetic cannot depend on the
+    # other rows of its batch
+    def constant(c0, c1):
+        def f(t, x):
+            out = np.empty_like(x)
+            out[..., 0] = c0
+            out[..., 1] = c1
+            return out
+        return sl.VectorFieldSpec(dim=2, f=f)
+
+    def coordinate_guard(i):
+        return sl.GuardSpec(g=lambda t, x: x[..., i])
+
+    reset = sl.ResetSpec(r=lambda t, x: np.array(x, dtype=float, copy=True))
+    return sl.HybridSystem(
+        modes=(constant(-1.0, -1.0), constant(-1.0, -1.0), constant(2.0, 3.0)),
+        transitions=(sl.TransitionSpec(0, 1, coordinate_guard(0), reset),
+                     sl.TransitionSpec(1, 2, coordinate_guard(1), reset)))
+
+
+def test_batch_event_times_do_not_depend_on_batch_mates():
+    # both rows cross x0 = 0 and then x1 = 0 inside the first step, at
+    # different times, so their second brackets start at different widths
+    sys_ = _two_crossing_system()
+    opts = sl.SimOptions()
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        first = rng.uniform(0.05, 0.9, 2) * opts.step
+        second = first + rng.uniform(0.02, 0.98, 2) * (opts.step - first)
+        X0 = np.column_stack([first, second])
+        X, codes = _batch_rollout(sys_, 0, X0, 0.0, 2 * opts.step, opts)
+        assert codes.tolist() == [5, 5]
+        for r in range(2):
+            x_alone, code_alone = _batch_rollout(sys_, 0, X0[r:r + 1], 0.0, 2 * opts.step, opts)
+            np.testing.assert_array_equal(x_alone[0], X[r])
+            assert code_alone[0] == codes[r]
+
+
 def test_monte_carlo_gap_shrinks_like_root_n():
     # mean Frobenius gap over independent seeds; 25x the samples should cut
     # the sampling error by ~5x, well under the 0.5 threshold

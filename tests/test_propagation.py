@@ -1,5 +1,7 @@
 """Variational flows, monodromy, covariance push-forward, Riccati recursions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +73,33 @@ def test_fundamental_matrix_matches_finite_difference_flow_jacobian():
         cols.append((hi - lo) / (2.0 * h))
     fd_jac = np.stack(cols, axis=1)
     assert float(np.abs(fd_jac - phi).max()) <= 1e-4 * max(1.0, float(np.abs(phi).max()))
+
+
+@pytest.mark.parametrize("t0", [0.0, 1e4])
+def test_linearization_takes_one_rk4_step_per_sample_interval(t0):
+    # fundamental, covariance and LQR share one linearization on the
+    # simulated grid: 4 Jacobian calls (one RK4 step) per sample interval
+    base = sl.bouncing_ball(e=0.5)
+    field = base.modes[0]
+    calls = []
+
+    def counted_jac(t, x):
+        calls.append(t)
+        return field.jac_x(t, x)
+
+    sys_ = dataclasses.replace(base, modes=(dataclasses.replace(field, jac_x=counted_jac),))
+    traj = sl.simulate(sys_, 0, np.array([1.0, 0.0]), (t0, t0 + 0.6))
+    intervals = sum(seg.times.size - 1 for seg in traj.segments)
+    folds = (
+        lambda: sl.fundamental_matrix(sys_, traj),
+        lambda: sl.propagate_covariance(sys_, traj, 1e-4 * np.eye(2)),
+        lambda: sl.hybrid_lqr_backward(sys_, traj, np.eye(2), np.eye(1),
+                                       np.array([[0.0], [1.0]]), np.eye(2)),
+    )
+    for fold in folds:
+        calls.clear()
+        fold()
+        assert len(calls) == 4 * intervals
 
 
 def test_monodromy_circle_orbit_is_marginal():

@@ -36,6 +36,29 @@ def test_flow_is_fourth_order():
     assert 8.0 < errs[1] / errs[2] < 32.0
 
 
+def test_substeps_ignore_endpoint_rounding():
+    from saltlib.simulate import _substeps
+
+    h = 1e-3
+    t0 = 0.1
+    above = lambda t: np.nextafter(t, np.inf)
+    below = lambda t: np.nextafter(t, -np.inf)
+    assert _substeps(t0, above(t0 + h), h) == 1
+    assert _substeps(t0, above(t0 + 2 * h), h) == 2
+    assert _substeps(t0, below(t0 + 2 * h), h) == 2
+    assert _substeps(t0, t0 + 1.5 * h, h) == 2
+    assert _substeps(above(t0 + h), t0, h) == 1
+    assert _substeps(t0 + 1.5 * h, t0, h) == 2
+    assert _substeps(t0, t0, h) == 1
+    # grid intervals are differences of accumulated times: one substep each
+    # at h, two each on a grid of 2h, also where |t| is large
+    for start in (0.0, 1e4):
+        grid = np.cumsum(np.full(300, h)) + start
+        assert {_substeps(a, b, h) for a, b in zip(grid[:-1], grid[1:])} == {1}
+        coarse = np.cumsum(np.full(300, 2 * h)) + start
+        assert {_substeps(a, b, h) for a, b in zip(coarse[:-1], coarse[1:])} == {2}
+
+
 def test_flow_matches_linear_closed_form():
     A = np.array([[0.05, -2.0], [2.0, 0.05]])
     x0 = np.array([1.0, -0.5])
