@@ -31,20 +31,29 @@ def jac_x(f: Callable[[float, np.ndarray], np.ndarray], t: float, x: np.ndarray)
 
 
 def grad_x(g: Callable[[float, np.ndarray], float], t: float, x: np.ndarray) -> np.ndarray:
-    """Row gradient of scalar g(t, x) in x; shape (len(x),)."""
+    """Row gradient of scalar g(t, x) in x; shape (len(x),).
+
+    For a stack of rows x (N, n) and a g that broadcasts over it, one
+    gradient per row, shape (N, n).
+    """
     x = np.asarray(x, dtype=float)
     h = _steps(x)
     out = np.empty_like(x)
-    for i in range(x.size):
+    value = float if x.ndim == 1 else (lambda v: np.asarray(v, dtype=float))
+    for i in range(x.shape[-1]):
         e = np.zeros_like(x)
-        e[i] = h[i]
-        out[i] = (float(g(t, x + e)) - float(g(t, x - e))) / (2.0 * h[i])
+        e[..., i] = h[..., i]
+        out[..., i] = (value(g(t, x + e)) - value(g(t, x - e))) / (2.0 * h[..., i])
     return out
 
 
 def diff_t(f: Callable[[float, np.ndarray], np.ndarray], t: float, x: np.ndarray):
-    """Partial derivative of f(t, x) in t (vector or scalar, matching f)."""
-    hi = max(FD_STEP_T, FD_STEP_T * abs(t))
+    """Partial derivative of f(t, x) in t (vector or scalar, matching f).
+
+    t may be an array of per-row times when f broadcasts over a stack of rows.
+    """
+    hi = np.maximum(FD_STEP_T, FD_STEP_T * np.abs(t)) if isinstance(t, np.ndarray) \
+        else max(FD_STEP_T, FD_STEP_T * abs(t))
     fp = f(t + hi, x)
     fm = f(t - hi, x)
     return (np.asarray(fp, dtype=float) - np.asarray(fm, dtype=float)) / (2.0 * hi)

@@ -69,12 +69,13 @@ class BallDropParams:
             raise ValueError("e must be >= 0")
 
 
-def _eval_input(fn: Optional[InputFn], t, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    batch = x.shape[:-1]
+def _eval_input(fn: Optional[InputFn], t, x) -> Union[float, np.ndarray]:
+    """Input value per row of x; a missing input is the scalar 0.0, which
+    broadcasts like a zero array without allocating one."""
     if fn is None:
-        return np.zeros(batch)
-    return np.broadcast_to(np.asarray(fn(t, x), dtype=float), batch).astype(float)
+        return 0.0
+    x = np.asarray(x, dtype=float)
+    return np.broadcast_to(np.asarray(fn(t, x), dtype=float), x.shape[:-1]).astype(float)
 
 
 def slide_impact_saltation(theta: float) -> np.ndarray:
@@ -157,14 +158,14 @@ def _ball_drop_system(p: BallDropParams) -> HybridSystem:
         out[..., 3] = _eval_input(p.u2, t, x) / m - a_g
         return out
 
+    # d(q, qd)/dt = (qd, a) with a independent of the state unless an input is set
+    kinematic_jac = np.zeros((4, 4))
+    kinematic_jac[0, 2] = 1.0
+    kinematic_jac[1, 3] = 1.0
+    forced = p.u1 is not None or p.u2 is not None
+
     def free_jac(t, x):
-        x = np.asarray(x, dtype=float)
-        if p.u1 is not None or p.u2 is not None:
-            return fd.jac_x(free_field, t, x)
-        jac = np.zeros((4, 4))
-        jac[0, 2] = 1.0
-        jac[1, 3] = 1.0
-        return jac
+        return fd.jac_x(free_field, t, x) if forced else kinematic_jac
 
     def slide_field(t, x):
         x = np.asarray(x, dtype=float)
@@ -178,13 +179,7 @@ def _ball_drop_system(p: BallDropParams) -> HybridSystem:
         return out
 
     def slide_jac(t, x):
-        x = np.asarray(x, dtype=float)
-        if p.u1 is not None or p.u2 is not None:
-            return fd.jac_x(slide_field, t, x)
-        jac = np.zeros((4, 4))
-        jac[0, 2] = 1.0
-        jac[1, 3] = 1.0
-        return jac
+        return fd.jac_x(slide_field, t, x) if forced else kinematic_jac
 
     def stick_field(t, x):
         x = np.asarray(x, dtype=float)
@@ -192,10 +187,6 @@ def _ball_drop_system(p: BallDropParams) -> HybridSystem:
         out[..., 0] = x[..., 2]
         out[..., 1] = x[..., 3]
         return out
-
-    stick_jac_mat = np.zeros((4, 4))
-    stick_jac_mat[0, 2] = 1.0
-    stick_jac_mat[1, 3] = 1.0
 
     def normal_force(t, x):
         x = np.asarray(x, dtype=float)
@@ -210,7 +201,7 @@ def _ball_drop_system(p: BallDropParams) -> HybridSystem:
     dim = 4
     free = VectorFieldSpec(dim=dim, f=free_field, jac_x=free_jac)
     slide = VectorFieldSpec(dim=dim, f=slide_field, jac_x=slide_jac)
-    stick = VectorFieldSpec(dim=dim, f=stick_field, jac_x=lambda t, x: stick_jac_mat)
+    stick = VectorFieldSpec(dim=dim, f=stick_field, jac_x=lambda t, x: kinematic_jac)
 
     def blockdiag_reset(vel_block: np.ndarray) -> ResetSpec:
         mat = np.zeros((4, 4))

@@ -1,23 +1,38 @@
 """Fixed-step RK4 simulation of hybrid systems with event localization.
 
-Guards are checked at every integration sample. A guard is armed once its
-value is strictly on its in-domain side (positive, or the locked side for
-two-sided guards); it fires when the armed value crosses to the other side.
-Starting a segment exactly on a guard surface therefore never retriggers the
-event that produced it, which implements post-event re-arming without timers.
+One engine integrates a stack of rows, each a state in its own mode. It
+runs in two ways. `simulate`, `integrate_segment` and `locate_event` give
+it one row and call every field, guard and reset on that row's 1-D state
+with a float time. The batched Monte Carlo rollout (`oracles._batch_rollout`)
+gives it N rows and calls the callables on the whole (N, n) stack, so they
+must broadcast over a leading row axis; time is a float while the rows
+share one, else an (N,) array. Every row follows the same rules:
 
-Event times are refined by bisection on dense RK4 restarts from the bracket's
-left endpoint, to |g| <= tol_g and bracket width <= tol_t.
+- Grid. A row steps t + step from the start of its segment, shortens the
+  last step to land on t_max, and restarts its grid at every event.
+- Arming. A guard is armed once its value is strictly on its in-domain side
+  (positive, or the locked side for two-sided guards); it fires when the
+  armed value crosses to the other side at a grid sample. Starting a
+  segment exactly on a guard surface therefore never retriggers the event
+  that produced it, which implements post-event re-arming without timers.
+- Bisection. A crossing is refined inside the step that detected it; the
+  state at a midpoint is one RK4 step from the step's left end. Each row
+  stops once its bracket is at most tol_t wide and then needs |g| <= tol_g.
+- Errors. A row raises EventLocalizationError, DegenerateGuard,
+  TangentialEvent, AmbiguousEvent (two crossings within tol_t) and
+  ZenoSuspected (more than max_events) under the same conditions whether it
+  runs alone or in a batch; a batch raises the first such error it meets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import fd
 from .errors import (
     AmbiguousEvent,
     DegenerateGuard,
@@ -26,7 +41,7 @@ from .errors import (
     TangentialEvent,
     ZenoSuspected,
 )
-from .system import GuardSpec, HybridSystem, ModeId
+from .system import GuardSpec, HybridSystem, ModeId, validate_system
 from .trajectory import EventRecord, HybridTrajectory, Segment
 
 DEFAULT_STEP = 1e-3
@@ -50,12 +65,16 @@ class SimOptions:
 
 
 def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, x: np.ndarray, h: float) -> np.ndarray:
-    """One classical Runge-Kutta step of size h."""
+    """One classical Runge-Kutta step of size h.
+
+    For a stack of rows x (N, n), t and h may also be (N,) arrays.
+    """
+    hx = h[:, None] if isinstance(h, np.ndarray) else h
     k1 = f(t, x)
-    k2 = f(t + 0.5 * h, x + (0.5 * h) * k1)
-    k3 = f(t + 0.5 * h, x + (0.5 * h) * k2)
-    k4 = f(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f(t + 0.5 * h, x + (0.5 * hx) * k1)
+    k3 = f(t + 0.5 * h, x + (0.5 * hx) * k2)
+    k4 = f(t + h, x + hx * k3)
+    return x + (hx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _substeps(t0: float, t1: float, step: float) -> int:
@@ -103,13 +122,421 @@ class GuardBracket:
     candidates: tuple[tuple[int, int], ...]
 
 
-def _arm_state(guard: GuardSpec, value: float) -> int:
-    """Armed side for a guard value: +1, -1 (two-sided only), or 0 (disarmed)."""
-    if value > 0.0:
-        return 1
-    if guard.two_sided and value < 0.0:
-        return -1
-    return 0
+# ---------------------------------------------------------------------------
+# how the engine calls user code: on one row's 1-D state, or on a stack
+
+
+def _float(t) -> float:
+    return float(t[0]) if isinstance(t, np.ndarray) else float(t)
+
+
+class _OneRow:
+    """Calls fields, guards and resets on the only row of a (1, n) stack,
+    as a 1-D state with a float time, so callables need not broadcast."""
+
+    hint = ""
+
+    def rk4(self, f, t, X, h):
+        return rk4_step(f, _float(t), X[0], _float(h))[None]
+
+    def field(self, f, t, X):
+        return np.asarray(f(_float(t), X[0]), dtype=float)[None]
+
+    def guards(self, guards, t, X):
+        t, x = _float(t), X[0]
+        return np.array([[gd.value(t, x) for gd in guards]])
+
+    def reset(self, rs, t, X):
+        return rs.apply(_float(t), X[0])[None]
+
+    def slope(self, gd, f, t, X):
+        t, x = _float(t), X[0]
+        grad = gd.grad_x(t, x)
+        deriv = gd.grad_t(t, x) + float(grad @ np.asarray(f(t, x), dtype=float))
+        return np.array([np.linalg.norm(grad)]), np.array([deriv])
+
+
+class _Stack:
+    """Calls fields, guards and resets once on a whole (N, n) stack."""
+
+    hint = ("; a batched rollout needs fields, guards and resets that broadcast "
+            "over a leading row axis: rerun with vectorized=False")
+
+    def rk4(self, f, t, X, h):
+        return rk4_step(f, t, X, h)
+
+    def field(self, f, t, X):
+        try:
+            return np.asarray(f(t, X), dtype=float)
+        except Exception as exc:
+            raise ValueError("field does not broadcast" + self.hint) from exc
+
+    def guards(self, guards, t, X):
+        vals = np.empty((X.shape[0], len(guards)))
+        try:
+            for j, gd in enumerate(guards):
+                vals[:, j] = gd.g(t, X)
+        except Exception as exc:
+            raise ValueError("guard does not broadcast" + self.hint) from exc
+        return vals
+
+    def reset(self, rs, t, X):
+        return np.asarray(rs.r(t, X), dtype=float)
+
+    def slope(self, gd, f, t, X):
+        try:
+            grad = gd.jac_x(t, X) if gd.jac_x is not None else fd.grad_x(gd.g, t, X)
+            grad = np.broadcast_to(np.asarray(grad, dtype=float), X.shape)
+            g_t = gd.jac_t(t, X) if gd.jac_t is not None else fd.diff_t(gd.g, t, X)
+            g_t = np.broadcast_to(np.asarray(g_t, dtype=float), X.shape[:1])
+        except Exception as exc:
+            raise ValueError("guard derivatives do not broadcast" + self.hint) from exc
+        deriv = g_t + np.einsum("ij,ij->i", grad, self.field(f, t, X))
+        return np.linalg.norm(grad, axis=1), deriv
+
+
+_ONE_ROW = _OneRow()
+_STACK = _Stack()
+
+
+# ---------------------------------------------------------------------------
+# the engine
+
+
+def _take(t, mask):
+    """Times of the masked rows: a shared float time stays a float."""
+    return t[mask] if isinstance(t, np.ndarray) else t
+
+
+def _per_row(t, n: int) -> np.ndarray:
+    """A shared float time (or flag) as one value per row."""
+    return t if isinstance(t, np.ndarray) else np.full(n, t)
+
+
+def _any(mask) -> bool:
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first row a check failed on: the row an error reports."""
+    return int(np.flatnonzero(mask)[0])
+
+
+def _arm(vals: np.ndarray, two_sided: np.ndarray) -> np.ndarray:
+    """Armed side of each guard value: +1, -1 (two-sided guards only) or 0 (disarmed)."""
+    return np.where(vals > 0.0, 1.0, np.where(two_sided & (vals < 0.0), -1.0, 0.0))
+
+
+class _Brackets(NamedTuple):
+    """Rows whose armed guards crossed in their last step.
+
+    pos indexes the rows of the segment's group; sign holds, per outgoing
+    transition, the crossing sign (+1 or -1) or 0 where that guard did not
+    cross.
+    """
+
+    pos: np.ndarray
+    t_lo: np.ndarray
+    x_lo: np.ndarray
+    t_hi: np.ndarray
+    x_hi: np.ndarray
+    sign: np.ndarray
+
+
+def _segment(rows, sys: HybridSystem, mode: ModeId, t, X: np.ndarray, t_max: float,
+             step: float, samples: Optional[tuple[list, list]] = None):
+    """Integrate rows in one mode until each reaches t_max or an armed guard crosses.
+
+    t is the rows' shared float time or an array of their own times. Returns
+    (positions, states) of the rows that reached t_max and the _Brackets of
+    the rows that crossed, or None. `samples` = (times, states) collects the
+    grid of a one-row segment, up to its bracket's left end.
+    """
+    field = sys.modes[mode]
+    if X.shape[1:] != (field.dim,):
+        raise ValueError(f"x0 shape {X.shape[1:]} does not match mode {mode} dim {field.dim}")
+    if not np.isfinite(X).all():
+        raise NonFiniteState(f"non-finite initial state in mode {mode} at t={t}")
+    if _any(t_max < t):
+        raise ValueError(f"t_max={t_max} precedes t0={t}")
+    f = field.f
+    f_shape = rows.field(f, t, X).shape
+    if f_shape != X.shape:
+        raise ValueError(f"mode {mode} field returned shape {f_shape[1:]}, "
+                         f"expected ({field.dim},){rows.hint}")
+
+    guards = [tr.guard for _, tr in sys.outgoing(mode)]
+    two_sided = np.array([gd.two_sided for gd in guards], dtype=bool)
+    armed = _arm(rows.guards(guards, t, X), two_sided)
+    all_armed = armed.all()
+    pos = np.arange(X.shape[0])
+    ended, crossed = [], []
+    if samples is not None:
+        samples[0].append(t)
+        samples[1].append(X[0])
+    while pos.size:
+        done = t >= t_max
+        if _any(done):
+            done = _per_row(done, pos.size)
+            ended.append((pos[done], X[done]))
+            keep = ~done
+            pos, X, armed, t = pos[keep], X[keep], armed[keep], _take(t, keep)
+            continue
+
+        t_next = t + step
+        last = t_next >= t_max
+        if not isinstance(t, np.ndarray):
+            h, t_next = (t_max - t, t_max) if last else (step, t_next)
+        elif last.any():
+            h, t_next = np.where(last, t_max - t, step), np.where(last, t_max, t_next)
+        else:
+            h = step
+        X_next = rows.rk4(f, t, X, h)
+        if not np.isfinite(X_next).all():
+            raise NonFiniteState(f"non-finite state in mode {mode} at t={t_next}")
+
+        vals = rows.guards(guards, t_next, X_next)
+        fired = armed * vals <= 0.0
+        if not all_armed:
+            fired &= armed != 0.0
+            armed = np.where(armed == 0.0, _arm(vals, two_sided), armed)
+            all_armed = armed.all()
+        if fired.any():
+            hit = fired.any(axis=1)
+            crossed.append((pos[hit], _per_row(t, hit.size)[hit], X[hit],
+                            _per_row(t_next, hit.size)[hit], X_next[hit], armed[hit] * fired[hit]))
+            keep = ~hit
+            pos, armed, X_next, t_next = pos[keep], armed[keep], X_next[keep], _take(t_next, keep)
+            if not pos.size:
+                break
+        t, X = t_next, X_next
+        if samples is not None:
+            samples[0].append(t)
+            samples[1].append(X[0])
+
+    end = None
+    if ended:
+        end = (np.concatenate([p for p, _ in ended]), np.concatenate([x for _, x in ended]))
+    if not crossed:
+        return end, None
+    return end, _Brackets(*(np.concatenate(parts) for parts in zip(*crossed)))
+
+
+def _locate(rows, f, guard: GuardSpec, sign: np.ndarray, t_a: np.ndarray, x_a: np.ndarray,
+            t_b: np.ndarray, x_b: np.ndarray, opts: SimOptions):
+    """Refine each row's crossing of `guard` inside its bracket [t_a, t_b].
+
+    The state at a midpoint is one RK4 step from the left end (t_a, x_a);
+    each row stops once its own bracket is at most tol_t wide and keeps the
+    end nearer the surface. Returns (t_event, x_minus, guard_residual,
+    transversality) per row; raises EventLocalizationError, NonFiniteState,
+    DegenerateGuard or TangentialEvent per the located-event checks.
+    """
+    t_lo, x_lo, t_hi, x_hi = t_a, x_a, t_b, x_b
+    g_lo = sign * rows.guards([guard], t_lo, x_lo)[:, 0]
+    g_hi = sign * rows.guards([guard], t_hi, x_hi)[:, 0]
+    bad = (g_lo <= 0.0) | (g_hi > 0.0)
+    if bad.any():
+        r = _first(bad)
+        raise EventLocalizationError(
+            f"bracket [{t_lo[r]}, {t_hi[r]}] does not straddle the guard "
+            f"(g_lo={g_lo[r]}, g_hi={g_hi[r]})"
+        )
+
+    for _ in range(200):
+        active = t_hi - t_lo > opts.tol_t
+        if not active.any():
+            break
+        t_mid = 0.5 * (t_lo + t_hi)
+        x_mid = rows.rk4(f, t_a, x_a, t_mid - t_a)
+        if not np.isfinite(x_mid).all():
+            r = _first(~np.isfinite(x_mid).all(axis=1))
+            raise NonFiniteState(f"non-finite state during localization at t={t_mid[r]}")
+        g_mid = sign * rows.guards([guard], t_mid, x_mid)[:, 0]
+        up = active & (g_mid > 0.0)
+        down = active ^ up
+        t_lo, x_lo, g_lo = np.where(up, t_mid, t_lo), np.where(up[:, None], x_mid, x_lo), np.where(up, g_mid, g_lo)
+        t_hi, x_hi, g_hi = np.where(down, t_mid, t_hi), np.where(down[:, None], x_mid, x_hi), np.where(down, g_mid, g_hi)
+
+    pick_hi = np.abs(g_hi) <= np.abs(g_lo)
+    t_e = np.where(pick_hi, t_hi, t_lo)
+    x_e = np.where(pick_hi[:, None], x_hi, x_lo)
+    residual = np.abs(np.where(pick_hi, g_hi, g_lo))
+    bad = residual > opts.tol_g
+    if bad.any():
+        r = _first(bad)
+        raise EventLocalizationError(
+            f"guard residual {residual[r]:.3e} above tol_g={opts.tol_g} after bisection at t={t_e[r]}"
+        )
+
+    grad_norm, deriv = rows.slope(guard, f, t_e, x_e)
+    bad = grad_norm < opts.eps_grad
+    if bad.any():
+        raise DegenerateGuard(f"guard gradient vanishes at located event t={t_e[_first(bad)]}")
+    bad = sign * deriv >= -opts.eps_trans
+    if bad.any():
+        r = _first(bad)
+        raise TangentialEvent(
+            f"guard derivative {deriv[r]:.3e} violates transversality at t={t_e[r]}",
+            t=float(t_e[r]),
+            derivative=float(deriv[r]),
+        )
+    return t_e, x_e, residual, deriv
+
+
+def _resolve(rows, sys: HybridSystem, mode: ModeId, br: _Brackets, opts: SimOptions):
+    """Localize every crossing of every bracket; keep each row's earliest.
+
+    Returns per row (outgoing index, t_event, x_minus, guard_residual,
+    transversality). A lower transition index wins an exact tie; crossings
+    within tol_t of each other raise AmbiguousEvent.
+    """
+    outs = sys.outgoing(mode)
+    f = sys.modes[mode].f
+    t_all = np.full(br.sign.shape, np.inf)
+    j_e = np.zeros(br.pos.size, dtype=np.int64)
+    t_e = np.full(br.pos.size, np.inf)
+    x_e = np.empty_like(br.x_lo)
+    res = np.empty(br.pos.size)
+    deriv = np.empty(br.pos.size)
+    for j, (_, tr) in enumerate(outs):
+        sub = np.flatnonzero(br.sign[:, j])
+        if not sub.size:
+            continue
+        t_j, x_j, res_j, deriv_j = _locate(rows, f, tr.guard, br.sign[sub, j], br.t_lo[sub],
+                                           br.x_lo[sub], br.t_hi[sub], br.x_hi[sub], opts)
+        t_all[sub, j] = t_j
+        first = t_j < t_e[sub]
+        win = sub[first]
+        j_e[win], t_e[win], x_e[win] = j, t_j[first], x_j[first]
+        res[win], deriv[win] = res_j[first], deriv_j[first]
+
+    if len(outs) > 1:
+        t_sorted = np.sort(t_all, axis=1)
+        tie = t_sorted[:, 1] - t_sorted[:, 0] <= opts.tol_t
+        if tie.any():
+            r = _first(tie)
+            t0 = t_sorted[r, 0]
+            order = sorted(range(len(outs)), key=lambda j: (t_all[r, j], outs[j][0]))
+            tied = [outs[j][0] for j in order if t_all[r, j] - t0 <= opts.tol_t]
+            raise AmbiguousEvent(
+                f"guards of transitions {tied} cross within tol_t at t={t0}",
+                t=float(t0),
+                transition_indices=tied,
+            )
+    return j_e, t_e, x_e, res, deriv
+
+
+def _recorded_segment(mode: ModeId, times: list, states: list, t_e=None, x_e=None) -> Segment:
+    """Segment of a one-row grid, ended at its event (t_e, x_minus) if one fired."""
+    if t_e is not None:
+        if t_e > times[-1]:
+            times.append(t_e)
+            states.append(x_e)
+        else:
+            # event localized onto the last sample; replace to keep strict ordering
+            times[-1], states[-1] = t_e, x_e
+    return Segment(mode=mode, times=np.asarray(times, dtype=float), states=np.stack(states, axis=0))
+
+
+def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, t_max: float,
+             opts: SimOptions, record: Optional[tuple[list, list]] = None):
+    """Roll every row of X0 from mode0 at t0 to t_max.
+
+    The rows that enter a mode together are integrated, localized and reset
+    together, one transition at a time. Returns the final states and, per
+    row, its event sequence coded in base len(transitions) + 1. A one-row
+    rollout given `record` = (segments, events) also records its trajectory.
+    """
+    diags = validate_system(sys)
+    if diags:
+        raise ValueError("invalid system: " + "; ".join(diags))
+    if t_max < t0:
+        raise ValueError(f"t_span end {t_max} precedes start {t0}")
+
+    n_rows = X0.shape[0]
+    base = len(sys.transitions) + 1
+    code = np.zeros(n_rows, dtype=np.int64)
+    n_events = np.zeros(n_rows, dtype=np.int64)
+    finals = []
+    pending = {mode0: [(np.arange(n_rows), t0, X0)]}
+    while pending:
+        mode = min(pending)
+        parts = pending.pop(mode)
+        ids, t, X = parts[0]
+        if len(parts) > 1:
+            ids = np.concatenate([p[0] for p in parts])
+            X = np.concatenate([p[2] for p in parts])
+            t = np.concatenate([_per_row(p[1], p[0].size) for p in parts])
+        if isinstance(t, np.ndarray) and t.size and (t == t[0]).all():
+            t = float(t[0])
+        samples = None if record is None else ([], [])
+        end, br = _segment(rows, sys, mode, t, X, t_max, opts.step, samples)
+        if end is not None:
+            finals.append((ids[end[0]], end[1]))
+            if record is not None:
+                record[0].append(_recorded_segment(mode, *samples))
+        if br is None:
+            continue
+
+        hit = ids[br.pos]
+        if (n_events[hit] >= opts.max_events).any():
+            # checked before localization: runaway detection must not depend
+            # on the next event (possibly degenerate) localizing cleanly
+            partial = None
+            if record is not None:
+                partial = HybridTrajectory(segments=(*record[0], _recorded_segment(mode, *samples)),
+                                           events=tuple(record[1]))
+            raise ZenoSuspected(
+                f"event count exceeded max_events={opts.max_events} near t={br.t_lo.min()}",
+                trajectory=partial,
+            )
+        j_e, t_e, x_minus, res, deriv = _resolve(rows, sys, mode, br, opts)
+
+        for j, (idx, tr) in enumerate(sys.outgoing(mode)):
+            sub = np.flatnonzero(j_e == j)
+            if not sub.size:
+                continue
+            x_plus = rows.reset(tr.reset, t_e[sub], x_minus[sub])
+            dim = sys.dim(tr.to_mode)
+            if x_plus.shape != (sub.size, dim):
+                raise ValueError(f"reset of transition {idx} returned shape {x_plus.shape[1:]}, "
+                                 f"expected ({dim},){rows.hint}")
+            if not np.isfinite(x_plus).all():
+                r = _first(~np.isfinite(x_plus).all(axis=1))
+                raise NonFiniteState(f"non-finite reset state at t={t_e[sub][r]}")
+            r = hit[sub]
+            code[r] = code[r] * base + (idx + 1)
+            n_events[r] += 1
+            at_end = t_e[sub] >= t_max
+            if record is not None:
+                t_ev = float(t_e[0])
+                record[0].append(_recorded_segment(mode, *samples, t_ev, x_minus[0]))
+                record[1].append(EventRecord(
+                    t_event=t_ev,
+                    transition_index=idx,
+                    x_minus=np.array(x_minus[0], copy=True),
+                    x_plus=np.array(x_plus[0], copy=True),
+                    guard_residual=float(res[0]),
+                    transversality=float(deriv[0]),
+                ))
+                if at_end[0]:
+                    record[0].append(Segment(mode=tr.to_mode, times=np.array([t_ev]),
+                                             states=x_plus.copy()))
+            if at_end.any():
+                finals.append((r[at_end], x_plus[at_end]))
+            go_on = ~at_end
+            if go_on.any():
+                pending.setdefault(tr.to_mode, []).append((r[go_on], t_e[sub][go_on], x_plus[go_on]))
+
+    X_f = np.empty((n_rows, finals[-1][1].shape[1] if finals else X0.shape[1]))
+    for r, x in finals:
+        X_f[r] = x
+    return X_f, code
+
+
+# ---------------------------------------------------------------------------
+# the one-row case
 
 
 def integrate_segment(
@@ -127,126 +554,17 @@ def integrate_segment(
     every transition whose guard crossed in the offending step; the caller
     resolves which fires (or raises AmbiguousEvent on ties).
     """
-    x = np.asarray(x0, dtype=float)
-    field = sys.modes[mode]
-    if x.shape != (field.dim,):
-        raise ValueError(f"x0 shape {x.shape} does not match mode {mode} dim {field.dim}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteState(f"non-finite initial state in mode {mode} at t={t0}")
-    if t_max < t0:
-        raise ValueError(f"t_max={t_max} precedes t0={t0}")
-
-    f = field.f
-    fx0 = np.asarray(f(t0, x), dtype=float)
-    if fx0.shape != (field.dim,):
-        raise ValueError(f"mode {mode} field returned shape {fx0.shape}, expected ({field.dim},)")
-
-    outgoing = sys.outgoing(mode)
-    guards = [tr.guard for _, tr in outgoing]
-    armed = [_arm_state(gd, gd.value(t0, x)) for gd in guards]
-
-    times = [t0]
-    states = [np.array(x, copy=True)]
-    t = t0
-    while t < t_max:
-        h = step
-        if t + h >= t_max:
-            h = t_max - t
-            t_next = t_max
-        else:
-            t_next = t + h
-        x_next = rk4_step(f, t, x, h)
-        if not np.all(np.isfinite(x_next)):
-            raise NonFiniteState(f"non-finite state in mode {mode} at t={t_next}")
-
-        fired: list[tuple[int, int]] = []
-        for i, gd in enumerate(guards):
-            gv = float(gd.value(t_next, x_next))
-            side = armed[i]
-            if side == 0:
-                armed[i] = _arm_state(gd, gv)
-            elif side > 0 and gv <= 0.0:
-                fired.append((outgoing[i][0], 1))
-            elif side < 0 and gv >= 0.0:
-                fired.append((outgoing[i][0], -1))
-        if fired:
-            return (
-                np.asarray(times, dtype=float),
-                np.stack(states, axis=0),
-                GuardBracket(t, np.array(x, copy=True), t_next, x_next, tuple(fired)),
-            )
-
-        t = t_next
-        x = x_next
-        times.append(t)
-        states.append(np.array(x, copy=True))
-    return np.asarray(times, dtype=float), np.stack(states, axis=0), None
-
-
-def _bisect_event(
-    sys: HybridSystem,
-    mode: ModeId,
-    bracket: GuardBracket,
-    guard: GuardSpec,
-    sign: int,
-    opts: SimOptions,
-) -> tuple[float, np.ndarray, float, float]:
-    """Refine one guard crossing inside a bracket.
-
-    Returns (t_event, x_minus, guard_residual, transversality). Raises
-    DegenerateGuard / TangentialEvent per the located-event checks.
-    """
-    f = sys.modes[mode].f
-    t_a, x_a = bracket.t_lo, bracket.x_lo
-
-    def state_at(tm: float) -> np.ndarray:
-        return flow_to(f, t_a, x_a, tm, opts.step)
-
-    t_lo, t_hi = bracket.t_lo, bracket.t_hi
-    x_lo = np.array(bracket.x_lo, copy=True)
-    x_hi = np.array(bracket.x_hi, copy=True)
-    g_lo = sign * guard.value(t_lo, x_lo)
-    g_hi = sign * guard.value(t_hi, x_hi)
-    if g_lo <= 0.0 or g_hi > 0.0:
-        raise EventLocalizationError(
-            f"bracket [{t_lo}, {t_hi}] does not straddle the guard (g_lo={g_lo}, g_hi={g_hi})"
+    times, states = [], []
+    _, br = _segment(_ONE_ROW, sys, mode, float(t0), np.asarray(x0, dtype=float)[None], t_max,
+                     step, (times, states))
+    bracket = None
+    if br is not None:
+        outs = sys.outgoing(mode)
+        bracket = GuardBracket(
+            float(br.t_lo[0]), br.x_lo[0].copy(), float(br.t_hi[0]), br.x_hi[0].copy(),
+            tuple((outs[j][0], int(s)) for j, s in enumerate(br.sign[0]) if s),
         )
-
-    for _ in range(200):
-        if t_hi - t_lo <= opts.tol_t:
-            break
-        t_mid = 0.5 * (t_lo + t_hi)
-        x_mid = state_at(t_mid)
-        if not np.all(np.isfinite(x_mid)):
-            raise NonFiniteState(f"non-finite state during localization at t={t_mid}")
-        g_mid = sign * guard.value(t_mid, x_mid)
-        if g_mid > 0.0:
-            t_lo, x_lo, g_lo = t_mid, x_mid, g_mid
-        else:
-            t_hi, x_hi, g_hi = t_mid, x_mid, g_mid
-
-    # choose the endpoint closest to the surface
-    if abs(g_hi) <= abs(g_lo):
-        t_e, x_e, g_e = t_hi, x_hi, g_hi
-    else:
-        t_e, x_e, g_e = t_lo, x_lo, g_lo
-    residual = abs(g_e)
-    if residual > opts.tol_g:
-        raise EventLocalizationError(
-            f"guard residual {residual:.3e} above tol_g={opts.tol_g} after bisection at t={t_e}"
-        )
-
-    grad = guard.grad_x(t_e, x_e)
-    if float(np.linalg.norm(grad)) < opts.eps_grad:
-        raise DegenerateGuard(f"guard gradient vanishes at located event t={t_e}")
-    deriv = guard.grad_t(t_e, x_e) + float(grad @ np.asarray(f(t_e, x_e), dtype=float))
-    if sign * deriv >= -opts.eps_trans:
-        raise TangentialEvent(
-            f"guard derivative {deriv:.3e} violates transversality at t={t_e}",
-            t=t_e,
-            derivative=deriv,
-        )
-    return t_e, x_e, residual, deriv
+    return np.asarray(times, dtype=float), np.stack(states, axis=0), bracket
 
 
 def locate_event(
@@ -263,33 +581,13 @@ def locate_event(
         if sys.transitions[idx].guard is guard:
             sign = sgn
             break
-    opts = SimOptions(tol_g=tol_g, tol_t=tol_t)
-    t_e, x_e, _, _ = _bisect_event(sys, mode, bracket, guard, sign, opts)
-    return t_e, x_e
-
-
-def _resolve_bracket(
-    sys: HybridSystem,
-    mode: ModeId,
-    bracket: GuardBracket,
-    opts: SimOptions,
-) -> tuple[int, float, np.ndarray, float, float]:
-    """Localize every candidate crossing; return the earliest or raise on ties."""
-    located = []
-    for idx, sgn in bracket.candidates:
-        guard = sys.transitions[idx].guard
-        t_e, x_e, res, deriv = _bisect_event(sys, mode, bracket, guard, sgn, opts)
-        located.append((t_e, idx, x_e, res, deriv))
-    located.sort(key=lambda item: (item[0], item[1]))
-    if len(located) > 1 and located[1][0] - located[0][0] <= opts.tol_t:
-        tied = [item[1] for item in located if item[0] - located[0][0] <= opts.tol_t]
-        raise AmbiguousEvent(
-            f"guards of transitions {tied} cross within tol_t at t={located[0][0]}",
-            t=located[0][0],
-            transition_indices=tied,
-        )
-    t_e, idx, x_e, res, deriv = located[0]
-    return idx, t_e, x_e, res, deriv
+    t_e, x_e, _, _ = _locate(
+        _ONE_ROW, sys.modes[mode].f, guard, np.array([float(sign)]),
+        np.array([bracket.t_lo], dtype=float), np.asarray(bracket.x_lo, dtype=float)[None],
+        np.array([bracket.t_hi], dtype=float), np.asarray(bracket.x_hi, dtype=float)[None],
+        SimOptions(tol_g=tol_g, tol_t=tol_t),
+    )
+    return float(t_e[0]), x_e[0]
 
 
 def simulate(
@@ -300,76 +598,8 @@ def simulate(
     options: Optional[SimOptions] = None,
 ) -> HybridTrajectory:
     """Run a hybrid execution over t_span starting in mode0 at state x0."""
-    from .system import validate_system
-
-    opts = options or SimOptions()
-    diags = validate_system(sys)
-    if diags:
-        raise ValueError("invalid system: " + "; ".join(diags))
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 < t0:
-        raise ValueError(f"t_span end {t1} precedes start {t0}")
-
     segments: list[Segment] = []
     events: list[EventRecord] = []
-    mode = mode0
-    t_cur = t0
-    x_cur = np.asarray(x0, dtype=float)
-
-    while True:
-        times, states, bracket = integrate_segment(sys, mode, t_cur, x_cur, t1, opts.step)
-        if bracket is None:
-            segments.append(Segment(mode=mode, times=times, states=states))
-            break
-
-        # cap check precedes localization: runaway detection must not depend
-        # on the next event (possibly degenerate) localizing cleanly
-        if len(events) >= opts.max_events:
-            segments.append(Segment(mode=mode, times=times, states=states))
-            partial = HybridTrajectory(segments=tuple(segments), events=tuple(events))
-            raise ZenoSuspected(
-                f"event count exceeded max_events={opts.max_events} "
-                f"near t={bracket.t_lo}",
-                trajectory=partial,
-            )
-        idx, t_e, x_minus, residual, deriv = _resolve_bracket(sys, mode, bracket, opts)
-
-        tr = sys.transitions[idx]
-        x_plus = tr.reset.apply(t_e, x_minus)
-        if x_plus.shape != (sys.dim(tr.to_mode),):
-            raise ValueError(
-                f"reset of transition {idx} returned shape {x_plus.shape}, "
-                f"expected ({sys.dim(tr.to_mode)},)"
-            )
-        if not np.all(np.isfinite(x_plus)):
-            raise NonFiniteState(f"non-finite reset state at t={t_e}")
-
-        if t_e > times[-1]:
-            times = np.append(times, t_e)
-            states = np.vstack([states, x_minus[None, :]])
-        else:
-            # event localized onto the last sample; replace to keep strict ordering
-            times = np.array(times, copy=True)
-            times[-1] = t_e
-            states = np.vstack([states[:-1], x_minus[None, :]])
-        segments.append(Segment(mode=mode, times=times, states=states))
-        events.append(
-            EventRecord(
-                t_event=t_e,
-                transition_index=idx,
-                x_minus=np.array(x_minus, copy=True),
-                x_plus=np.array(x_plus, copy=True),
-                guard_residual=residual,
-                transversality=deriv,
-            )
-        )
-        mode = tr.to_mode
-        t_cur = t_e
-        x_cur = x_plus
-        if t_cur >= t1:
-            segments.append(
-                Segment(mode=mode, times=np.array([t_cur]), states=x_cur[None, :].copy())
-            )
-            break
-
+    _rollout(_ONE_ROW, sys, mode0, float(t_span[0]), np.asarray(x0, dtype=float)[None],
+             float(t_span[1]), options or SimOptions(), (segments, events))
     return HybridTrajectory(segments=tuple(segments), events=tuple(events))

@@ -256,6 +256,100 @@ def test_batch_event_times_do_not_depend_on_batch_mates():
             assert code_alone[0] == codes[r]
 
 
+def _cascade_system(n_modes, spacing):
+    # a chain of levels `spacing` apart on a falling coordinate: one row
+    # crosses them all inside one step; elementwise, like _two_crossing_system
+    def fall(t, x):
+        return np.full_like(x, -1.0)
+
+    def level(a):
+        return sl.GuardSpec(g=lambda t, x: x[..., 0] - a)
+
+    reset = sl.ResetSpec(r=lambda t, x: np.array(x, dtype=float, copy=True))
+    return sl.HybridSystem(
+        modes=tuple(sl.VectorFieldSpec(dim=1, f=fall) for _ in range(n_modes)),
+        transitions=tuple(sl.TransitionSpec(i, i + 1, level(-i * spacing), reset)
+                          for i in range(n_modes - 1)))
+
+
+def _two_crossing_rows(step):
+    # first crossing after 0.5-4 steps, the second 0.02-3 steps later
+    rng = np.random.default_rng(9)
+    first = rng.uniform(0.5, 4.0, 40) * step
+    return np.column_stack([first, first + rng.uniform(0.02, 3.0, 40) * step])
+
+
+@pytest.mark.parametrize("case", ["two crossings over several steps",
+                                  "ten transitions inside one step"])
+def test_batch_rows_match_their_own_simulation(case):
+    opts = sl.SimOptions()
+    if case == "two crossings over several steps":
+        sys_, X0, span = _two_crossing_system(), _two_crossing_rows(opts.step), (0.0, 8 * opts.step)
+    else:
+        sys_ = _cascade_system(11, 5e-5)
+        X0, span = np.array([[1e-5], [3e-5], [2.2e-4], [4e-4]]), (0.0, 3 * opts.step)
+    X, codes = _batch_rollout(sys_, 0, X0, span[0], span[1], opts)
+    n_tr = len(sys_.transitions)
+    for r, x0 in enumerate(X0):
+        traj = sl.simulate(sys_, 0, x0, span, opts)
+        assert codes[r] == _event_code(traj, n_tr)
+        np.testing.assert_array_equal(X[r], traj.x_end)
+    if case == "ten transitions inside one step":
+        assert {len(sl.simulate(sys_, 0, x0, span, opts).events) for x0 in X0} == {10}
+
+
+def _graze_system():
+    # the parabola x0(t) = a (1 - t)^2 + x0(0) - a touches the guard x0 = 0 at t = 1
+    a = 1e-4
+    return sl.HybridSystem(
+        modes=(sl.affine_field(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([0.0, 2 * a])),
+               sl.affine_field(np.zeros((2, 2)), np.zeros(2))),
+        transitions=(sl.TransitionSpec(0, 1, sl.linear_guard(np.array([1.0, 0.0])),
+                                       sl.identity_reset(2)),),
+    ), np.array([a + 1e-13, -2 * a])
+
+
+def _race_system():
+    # guard 0 crosses at t = x1(0), guard 1 at t = 1 - x0(0)
+    f0 = sl.affine_field(np.zeros((2, 2)), np.array([1.0, -1.0]))
+    fz = sl.affine_field(np.zeros((2, 2)), np.zeros(2))
+    return sl.HybridSystem(
+        modes=(f0, fz, fz),
+        transitions=(
+            sl.TransitionSpec(0, 1, sl.linear_guard(np.array([0.0, 1.0])), sl.identity_reset(2)),
+            sl.TransitionSpec(0, 2, sl.linear_guard(np.array([-1.0, 0.0]), offset=1.0),
+                              sl.identity_reset(2)),
+        ),
+    ), np.array([-5e-12, 1.0])
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_monte_carlo_raises_when_a_row_grazes_or_ties(vectorized):
+    # the mean clears the guard by 1e-13 and the mean's crossings are 5e-12
+    # apart, so simulate() accepts the mean; some samples graze (crossing
+    # slope below eps_trans) or cross both guards within tol_t
+    sys_, mean0 = _graze_system()
+    assert not sl.simulate(sys_, 0, mean0, (0.0, 2.0)).events
+    with pytest.raises(sl.TangentialEvent):
+        sl.monte_carlo_covariance(sys_, 0, mean0, np.diag([1e-26, 0.0]), (0.0, 2.0),
+                                  n_samples=200, seed=0, vectorized=vectorized)
+    sys_, mean0 = _race_system()
+    assert sl.simulate(sys_, 0, mean0, (0.0, 2.0)).event_sequence == (0,)
+    with pytest.raises(sl.AmbiguousEvent):
+        sl.monte_carlo_covariance(sys_, 0, mean0, (2.5e-12) ** 2 * np.ones((2, 2)), (0.0, 2.0),
+                                  n_samples=200, seed=0, vectorized=vectorized)
+
+
+def test_vectorized_monte_carlo_names_the_fallback_for_fields_that_do_not_broadcast():
+    # the generic rigid-body fields take one 1-D state at a time
+    model, _ = sl.ball_drop(sl.BallDropParams(theta=0.3))
+    args = (sl.build_hybrid_system(model), 0, np.array([0.0, 0.3, 0.0, 0.0]),
+            1e-6 * np.eye(4), (0.0, 0.05))
+    with pytest.raises(ValueError, match="vectorized=False"):
+        sl.monte_carlo_covariance(*args, n_samples=8)
+    assert sl.monte_carlo_covariance(*args, n_samples=8, vectorized=False).shape == (4, 4)
+
+
 def test_monte_carlo_gap_shrinks_like_root_n():
     # mean Frobenius gap over independent seeds; 25x the samples should cut
     # the sampling error by ~5x, well under the 0.5 threshold

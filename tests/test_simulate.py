@@ -214,6 +214,26 @@ def test_locate_event_refines_to_tolerance():
     assert x_e[0] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_locate_event_matches_simulate_at_a_coarse_step():
+    # a 2e-3 bracket from integrate_segment must be refined exactly as
+    # simulate refines it at step 2e-3, whatever locate_event's defaults are
+    spiral = sl.affine_field(np.array([[-0.4, -6.0], [6.0, -0.4]]), np.zeros(2))
+    sys_ = sl.HybridSystem(
+        modes=(spiral, sl.affine_field(np.zeros((2, 2)), np.zeros(2))),
+        transitions=(sl.TransitionSpec(0, 1, sl.linear_guard(np.array([1.0, 0.0]), offset=0.2),
+                                       sl.identity_reset(2)),),
+    )
+    opts = sl.SimOptions(step=2e-3)
+    guard = sys_.transitions[0].guard
+    for angle in np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False):
+        x0 = np.array([np.cos(angle), np.sin(angle)])
+        ev = sl.simulate(sys_, 0, x0, (0.0, 2.0), opts).events[0]
+        _, _, bracket = sl.integrate_segment(sys_, 0, 0.0, x0, 2.0, step=opts.step)
+        t_e, x_e = sl.locate_event(sys_, 0, bracket, guard)
+        assert t_e == ev.t_event
+        np.testing.assert_array_equal(x_e, ev.x_minus)
+
+
 def test_interpolate_and_segment_lookup():
     traj = sl.simulate(sl.bouncing_ball(e=0.5), 0, np.array([1.0, 0.0]), (0.0, 0.6))
     t_probe = 0.2
