@@ -8,14 +8,14 @@ Carlo ensembles, LQR costs from brute-force closed-loop rollouts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EventOrderChanged, SplitDistribution, ZenoSuspected
+from .errors import EventOrderChanged, SplitDistribution
 from .propagation import MatrixLike, _as_matrix_fn, variational_flow
-from .simulate import _ONE_ROW, _STACK, SimOptions, _rollout, flow_to, simulate
+from .simulate import _ONE_ROW, _STACK, SimOptions, _flow_rows, _NotBroadcast, _rollout, simulate
 from .system import HybridSystem, ModeId, VectorFieldSpec
 from .trajectory import HybridTrajectory
 
@@ -60,6 +60,15 @@ def compare(name: str, analytic: np.ndarray, numeric: np.ndarray,
 # finite-difference saltation
 
 
+def _stack_or_each_row(run: Callable, n: int) -> list:
+    """[run(rows, s)] on the whole stack (s = slice(None)), or one call per
+    row (s = slice(i, i + 1)) when a callable does not broadcast."""
+    try:
+        return [run(_STACK, slice(None))]
+    except _NotBroadcast:
+        return [run(_ONE_ROW, slice(i, i + 1)) for i in range(n)]
+
+
 def numeric_saltation(
     sys: HybridSystem,
     mode0: ModeId,
@@ -78,6 +87,11 @@ def numeric_saltation(
     difference at a common post-event time t_f is pulled back to the event
     by the smooth variational flow of the landing mode.
 
+    The unperturbed run and the 2n perturbed runs are one batch of rows:
+    one back-flow, one rollout that ends each row at its first event, and
+    one forward flow to t_f. Fields, guards and resets that do not
+    broadcast over a leading row axis are run one row at a time instead.
+
     Raises EventOrderChanged when any perturbed run triggers a different
     first transition than the unperturbed one.
     """
@@ -90,54 +104,52 @@ def numeric_saltation(
 
     t_start = t_minus - back_steps * opts.step
     t_stop = t_minus + max(4.0 * opts.step, 1000.0 * h)
-    # only the first transition is under study; capping the event count keeps
-    # runs alive past it even when the post-event flow re-grazes a guard
-    # (e.g. a fully plastic impact landing exactly on the surface)
-    run_opts = replace(opts, max_events=1)
+    # row 0 is the reference; rows 2i + 1 and 2i + 2 move coordinate i by +h and -h
+    delta = np.zeros((n_in, n_in))
+    np.fill_diagonal(delta, h)
+    X = np.concatenate([x_ref[None], x_ref + np.stack([delta, -delta], axis=1).reshape(-1, n_in)])
 
-    def run(x_pert: np.ndarray):
-        x_start = flow_to(field_i.f, t_minus, x_pert, t_start, opts.step)
-        try:
-            traj = simulate(sys, mode0, x_start, (t_start, t_stop), run_opts)
-        except ZenoSuspected as exc:
-            traj = exc.trajectory
-        if not traj.events:
+    def first_events(rows, s):
+        # only the first transition is under study: each row ends there, so
+        # a post-event flow that re-grazes a guard (e.g. a fully plastic
+        # impact landing exactly on the surface) cannot disturb it
+        X_start = _flow_rows(rows, field_i.f, t_minus, X[s], t_start, opts.step)
+        groups = []
+        _rollout(rows, sys, mode0, t_start, X_start, t_stop, opts, first=groups)
+        events = [None] * X_start.shape[0]
+        for r, idx, t_e, x_minus in groups:
+            # each row's own reset call, as a lone simulation makes it
+            reset = sys.transitions[idx].reset
+            for k, i in enumerate(r):
+                t = float(t_e[k])
+                events[i] = (idx, t, reset.apply(t, x_minus[k]))
+        return events
+
+    events = [ev for part in _stack_or_each_row(first_events, X.shape[0]) for ev in part]
+    for k, ev in enumerate(events):
+        if ev is None:
             raise EventOrderChanged("a run reached t_stop without any event")
-        ev = traj.events[0]
-        return ev.transition_index, ev.t_event, ev.x_plus
-
-    idx0, t_e0, x_plus0 = run(x_ref)
-    if expected_transition is not None and idx0 != expected_transition:
-        raise EventOrderChanged(
-            f"reference run fired transition {idx0}, expected {expected_transition}"
-        )
-
-    runs_plus = []
-    runs_minus = []
-    for i in range(n_in):
-        delta = np.zeros(n_in)
-        delta[i] = h
-        for sign, bucket in ((1.0, runs_plus), (-1.0, runs_minus)):
-            idx, t_e, x_plus = run(x_ref + sign * delta)
-            if idx != idx0:
+        if k == 0:
+            idx0, t_e0, x_plus0 = ev
+            if expected_transition is not None and idx0 != expected_transition:
                 raise EventOrderChanged(
-                    f"perturbation {sign:+g}h along coordinate {i} changed the first "
-                    f"transition from {idx0} to {idx}"
+                    f"reference run fired transition {idx0}, expected {expected_transition}"
                 )
-            bucket.append((t_e, x_plus))
+        elif ev[0] != idx0:
+            raise EventOrderChanged(
+                f"perturbation {1.0 if k % 2 else -1.0:+g}h along coordinate {(k - 1) // 2} "
+                f"changed the first transition from {idx0} to {ev[0]}"
+            )
 
     mode_j = sys.transitions[idx0].to_mode
     f_j = sys.modes[mode_j].f
-    t_f = max([t_e0] + [t for t, _ in runs_plus] + [t for t, _ in runs_minus])
-    t_f += 10.0 * opts.tol_t
-
-    cols = np.empty((sys.dim(mode_j), n_in))
-    for i in range(n_in):
-        tp, xp = runs_plus[i]
-        tm, xm = runs_minus[i]
-        xf_p = flow_to(f_j, tp, xp, t_f, opts.step)
-        xf_m = flow_to(f_j, tm, xm, t_f, opts.step)
-        cols[:, i] = (xf_p - xf_m) / (2.0 * h)
+    t_e = np.array([ev[1] for ev in events])
+    t_f = float(t_e.max()) + 10.0 * opts.tol_t
+    t_e = t_e[1:]
+    X_plus = np.stack([ev[2] for ev in events[1:]])
+    X_f = np.concatenate(_stack_or_each_row(
+        lambda rows, s: _flow_rows(rows, f_j, t_e[s], X_plus[s], t_f, opts.step), t_e.size))
+    cols = (X_f[0::2] - X_f[1::2]).T / (2.0 * h)
 
     A = variational_flow(sys, mode_j, t_e0, x_plus0, t_f, opts.step)
     return np.linalg.solve(A, cols)
@@ -239,14 +251,14 @@ def monte_carlo_covariance(
 # brute-force quadratic cost
 
 
-def _controlled_system(sys: HybridSystem, ref: HybridTrajectory,
-                       b_fn: Callable[[float], np.ndarray],
-                       control: Callable[[float, np.ndarray], np.ndarray]) -> HybridSystem:
+def _controlled_system(sys: HybridSystem,
+                       forcing: Callable[[float, np.ndarray], np.ndarray]) -> HybridSystem:
+    """sys with forcing(t, x) added to the field of every mode."""
     def wrap(spec: VectorFieldSpec) -> VectorFieldSpec:
         base = spec.f
 
         def f(t, x, _base=base):
-            return np.asarray(_base(t, x), dtype=float) + b_fn(t) @ control(t, x)
+            return np.asarray(_base(t, x), dtype=float) + forcing(t, x)
 
         return VectorFieldSpec(dim=spec.dim, f=f)
 
@@ -256,6 +268,19 @@ def _controlled_system(sys: HybridSystem, ref: HybridTrajectory,
         mode_names=sys.mode_names,
         transition_names=sys.transition_names,
     )
+
+
+def _once_per_time(fn: Callable[[float], tuple]) -> Callable[[float], tuple]:
+    """fn evaluated once per distinct float time, for the life of the returned function."""
+    table: dict[float, tuple] = {}
+
+    def at(t: float) -> tuple:
+        value = table.get(t)
+        if value is None:
+            value = table[t] = fn(t)
+        return value
+
+    return at
 
 
 def brute_force_cost(
@@ -279,6 +304,11 @@ def brute_force_cost(
     u = 0), and accumulates dt (dx' Q dx + u' V u) on the rollout grid plus
     the terminal dx' P dx. Perturbations default to scale * N(0, I) draws
     from a counter-based generator; pass explicit rows to pin them.
+
+    policy.gain_at, Q, V and B must be functions of t alone: like
+    ref.interpolate, each is evaluated once per distinct time within a call
+    (an RK4 stage time or grid sample), and every stage, sample and rollout
+    at that time reuses the value.
     """
     opts = options or SimOptions()
     q_fn, v_fn, b_fn = _as_matrix_fn(Q), _as_matrix_fn(V), _as_matrix_fn(B)
@@ -291,14 +321,19 @@ def brute_force_cost(
     else:
         perturbations = np.atleast_2d(np.asarray(perturbations, dtype=float))
 
+    gain_at = (lambda t: None) if policy is None else policy.gain_at
+    stage = _once_per_time(lambda t: (ref.interpolate(t), gain_at(t), b_fn(t)))
+    weights = _once_per_time(lambda t: (q_fn(t), v_fn(t)))
+
     def control(t: float, x: np.ndarray) -> np.ndarray:
-        if policy is None:
-            return np.zeros(b_fn(t).shape[1])
-        dx = x - ref.interpolate(t)
-        return -(policy.gain_at(t) @ dx)
+        x_ref, gain, b_t = stage(t)
+        return np.zeros(b_t.shape[1]) if gain is None else -(gain @ (x - x_ref))
+
+    def forcing(t: float, x: np.ndarray) -> np.ndarray:
+        return stage(t)[2] @ control(t, x)
 
     mode0 = ref.segments[0].mode
-    csys = _controlled_system(sys, ref, b_fn, control)
+    csys = _controlled_system(sys, forcing)
 
     total = 0.0
     for row in perturbations:
@@ -308,9 +343,10 @@ def brute_force_cost(
             for i in range(seg.times.size - 1):
                 t = float(seg.times[i])
                 dt = float(seg.times[i + 1]) - t
-                dx = seg.states[i] - ref.interpolate(t)
+                q_t, v_t = weights(t)
+                dx = seg.states[i] - stage(t)[0]
                 u = control(t, seg.states[i])
-                cost += dt * (dx @ q_fn(t) @ dx + u @ v_fn(t) @ u)
+                cost += dt * (dx @ q_t @ dx + u @ v_t @ u)
         dx_end = traj.x_end - ref.x_end
         cost += float(dx_end @ np.asarray(P_terminal, dtype=float) @ dx_end)
         total += cost

@@ -283,7 +283,7 @@ class LqrSolution:
     values: tuple[np.ndarray, ...]
 
     def gain_at(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.gain_times, t, side="right")) - 1
+        idx = int(self.gain_times.searchsorted(t, side="right")) - 1
         idx = min(max(idx, 0), len(self.gains) - 1)
         return self.gains[idx]
 

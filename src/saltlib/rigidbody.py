@@ -651,6 +651,8 @@ def _impact_saltation(model: RigidBodyModel, dst: ContactMode, t: float,
         else:
             raise SlidingSingularity("post-impact tangential velocity does not orient friction")
 
+    f_minus, f_plus = _field_pair(model, ContactMode.U, dst, t, x_minus, x_plus,
+                                  dst_dir=dst_dir)
     row = jn[0] / jn_qd  # shared rank-one factor J_n / (J_n qd-)
 
     if dst is ContactMode.V:
@@ -670,10 +672,15 @@ def _impact_saltation(model: RigidBodyModel, dst: ContactMode, t: float,
         else:
             J_c = _constraint_rows(model, ContactMode.C, q)
         blocks = dagger_blocks(M, J_c)
-        jdot_plus = np.vstack([_jdot(model.J_n, q, qd_plus)]) if dst is ContactMode.S \
-            else np.vstack([_jdot(model.J_n, q, qd_plus), _jdot(model.J_t, q, qd_plus)])
-        vec = (blocks.m_dag @ (C_minus @ qd - C_plus @ qd_plus)
-               - blocks.j_dag.T @ (jdot_plus @ qd_plus) - dq_w @ qd)
+        if dst_dir is not None:
+            # kinetic friction: the sliding acceleration comes from the coupled
+            # normal-force solve, not from the frictionless projection
+            vec = f_plus[m:] - W @ f_minus[m:] - dq_w @ qd
+        else:
+            jdot_plus = np.vstack([_jdot(model.J_n, q, qd_plus)]) if dst is ContactMode.S \
+                else np.vstack([_jdot(model.J_n, q, qd_plus), _jdot(model.J_t, q, qd_plus)])
+            vec = (blocks.m_dag @ (C_minus @ qd - C_plus @ qd_plus)
+                   - blocks.j_dag.T @ (jdot_plus @ qd_plus) - dq_w @ qd)
         z = np.outer(vec, row)
         if dst is ContactMode.S:
             ul = W  # plastic normal projection keeps the position block equal
@@ -684,8 +691,6 @@ def _impact_saltation(model: RigidBodyModel, dst: ContactMode, t: float,
 
     xi = _assemble(model, ul, ll, lr)
     dxr = _assemble(model, np.eye(m), dq_w, W)
-    f_minus, f_plus = _field_pair(model, ContactMode.U, dst, t, x_minus, x_plus,
-                                  dst_dir=dst_dir)
     return SaltationResult(xi=xi, dxr=dxr, denom=jn_qd, f_minus=f_minus,
                            f_plus=f_plus, identity_shortcut=False)
 

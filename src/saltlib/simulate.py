@@ -4,9 +4,10 @@ One engine integrates a stack of rows, each a state in its own mode. It
 runs in two ways. `simulate`, `integrate_segment` and `locate_event` give
 it one row and call every field, guard and reset on that row's 1-D state
 with a float time. The batched Monte Carlo rollout (`oracles._batch_rollout`)
-gives it N rows and calls the callables on the whole (N, n) stack, so they
-must broadcast over a leading row axis; time is a float while the rows
-share one, else an (N,) array. Every row follows the same rules:
+and `oracles.numeric_saltation` give it N rows and call the callables on the
+whole (N, n) stack, so they must broadcast over a leading row axis; time is
+a float while the rows share one, else an (N,) array. Every row follows the
+same rules:
 
 - Grid. A row steps t + step from the start of its segment, shortens the
   last step to land on t_max, and restarts its grid at every event.
@@ -94,17 +95,7 @@ def flow_to(f: Callable[[float, np.ndarray], np.ndarray], t0: float, x0: np.ndar
 
     Handles either time direction; lands on t1 exactly.
     """
-    span = t1 - t0
-    if span == 0.0:
-        return np.array(x0, dtype=float, copy=True)
-    n_sub = _substeps(t0, t1, step)
-    h = span / n_sub
-    x = np.array(x0, dtype=float, copy=True)
-    t = t0
-    for k in range(n_sub):
-        x = rk4_step(f, t, x, h)
-        t = t0 + (k + 1) * h
-    return x
+    return _flow_rows(_ONE_ROW, f, t0, np.asarray(x0, dtype=float)[None], t1, step)[0]
 
 
 @dataclass(frozen=True)
@@ -130,11 +121,16 @@ def _float(t) -> float:
     return float(t[0]) if isinstance(t, np.ndarray) else float(t)
 
 
+class _NotBroadcast(ValueError):
+    """A field, guard or reset failed on a stack of rows; one row at a time may work."""
+
+
 class _OneRow:
     """Calls fields, guards and resets on the only row of a (1, n) stack,
     as a 1-D state with a float time, so callables need not broadcast."""
 
     hint = ""
+    error = ValueError
 
     def rk4(self, f, t, X, h):
         return rk4_step(f, _float(t), X[0], _float(h))[None]
@@ -161,6 +157,7 @@ class _Stack:
 
     hint = ("; a batched rollout needs fields, guards and resets that broadcast "
             "over a leading row axis: rerun with vectorized=False")
+    error = _NotBroadcast
 
     def rk4(self, f, t, X, h):
         return rk4_step(f, t, X, h)
@@ -169,7 +166,7 @@ class _Stack:
         try:
             return np.asarray(f(t, X), dtype=float)
         except Exception as exc:
-            raise ValueError("field does not broadcast" + self.hint) from exc
+            raise _NotBroadcast("field does not broadcast" + self.hint) from exc
 
     def guards(self, guards, t, X):
         vals = np.empty((X.shape[0], len(guards)))
@@ -177,11 +174,14 @@ class _Stack:
             for j, gd in enumerate(guards):
                 vals[:, j] = gd.g(t, X)
         except Exception as exc:
-            raise ValueError("guard does not broadcast" + self.hint) from exc
+            raise _NotBroadcast("guard does not broadcast" + self.hint) from exc
         return vals
 
     def reset(self, rs, t, X):
-        return np.asarray(rs.r(t, X), dtype=float)
+        try:
+            return np.asarray(rs.r(t, X), dtype=float)
+        except Exception as exc:
+            raise _NotBroadcast("reset does not broadcast" + self.hint) from exc
 
     def slope(self, gd, f, t, X):
         try:
@@ -190,7 +190,7 @@ class _Stack:
             g_t = gd.jac_t(t, X) if gd.jac_t is not None else fd.diff_t(gd.g, t, X)
             g_t = np.broadcast_to(np.asarray(g_t, dtype=float), X.shape[:1])
         except Exception as exc:
-            raise ValueError("guard derivatives do not broadcast" + self.hint) from exc
+            raise _NotBroadcast("guard derivatives do not broadcast" + self.hint) from exc
         deriv = g_t + np.einsum("ij,ij->i", grad, self.field(f, t, X))
         return np.linalg.norm(grad, axis=1), deriv
 
@@ -243,6 +243,12 @@ class _Brackets(NamedTuple):
     sign: np.ndarray
 
 
+def _check_field(rows, f, t, X: np.ndarray, what: str) -> None:
+    shape = rows.field(f, t, X).shape
+    if shape != X.shape:
+        raise rows.error(f"{what} returned shape {shape[1:]}, expected ({X.shape[1]},){rows.hint}")
+
+
 def _segment(rows, sys: HybridSystem, mode: ModeId, t, X: np.ndarray, t_max: float,
              step: float, samples: Optional[tuple[list, list]] = None):
     """Integrate rows in one mode until each reaches t_max or an armed guard crosses.
@@ -260,10 +266,7 @@ def _segment(rows, sys: HybridSystem, mode: ModeId, t, X: np.ndarray, t_max: flo
     if _any(t_max < t):
         raise ValueError(f"t_max={t_max} precedes t0={t}")
     f = field.f
-    f_shape = rows.field(f, t, X).shape
-    if f_shape != X.shape:
-        raise ValueError(f"mode {mode} field returned shape {f_shape[1:]}, "
-                         f"expected ({field.dim},){rows.hint}")
+    _check_field(rows, f, t, X, f"mode {mode} field")
 
     guards = [tr.guard for _, tr in sys.outgoing(mode)]
     two_sided = np.array([gd.two_sided for gd in guards], dtype=bool)
@@ -440,13 +443,18 @@ def _recorded_segment(mode: ModeId, times: list, states: list, t_e=None, x_e=Non
 
 
 def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, t_max: float,
-             opts: SimOptions, record: Optional[tuple[list, list]] = None):
+             opts: SimOptions, record: Optional[tuple[list, list]] = None,
+             first: Optional[list] = None):
     """Roll every row of X0 from mode0 at t0 to t_max.
 
     The rows that enter a mode together are integrated, localized and reset
     together, one transition at a time. Returns the final states and, per
     row, its event sequence coded in base len(transitions) + 1. A one-row
     rollout given `record` = (segments, events) also records its trajectory.
+    Given a list `first`, each row ends at its first event instead, before
+    the reset: every group of rows that fired one transition appends (row
+    indices, transition index, t_event, x_minus) to it, and those rows'
+    final states and codes are left unset.
     """
     diags = validate_system(sys)
     if diags:
@@ -497,10 +505,13 @@ def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, 
             sub = np.flatnonzero(j_e == j)
             if not sub.size:
                 continue
+            if first is not None:
+                first.append((hit[sub], idx, t_e[sub], x_minus[sub]))
+                continue
             x_plus = rows.reset(tr.reset, t_e[sub], x_minus[sub])
             dim = sys.dim(tr.to_mode)
             if x_plus.shape != (sub.size, dim):
-                raise ValueError(f"reset of transition {idx} returned shape {x_plus.shape[1:]}, "
+                raise rows.error(f"reset of transition {idx} returned shape {x_plus.shape[1:]}, "
                                  f"expected ({dim},){rows.hint}")
             if not np.isfinite(x_plus).all():
                 r = _first(~np.isfinite(x_plus).all(axis=1))
@@ -533,6 +544,28 @@ def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, 
     for r, x in finals:
         X_f[r] = x
     return X_f, code
+
+
+def _flow_rows(rows, f, t0, X: np.ndarray, t1: float, step: float) -> np.ndarray:
+    """flow_to on each row of a stack, from the rows' shared t0 or their own
+    (N,) start times to t1.
+
+    Rows with the same substep count step together, each with its own h, so
+    a row's substeps and times do not depend on the other rows.
+    """
+    X = np.array(X, dtype=float)
+    _check_field(rows, f, t0, X, "field")
+    n_sub = np.array([_substeps(a, t1, step) if a != t1 else 0 for a in _per_row(t0, X.shape[0])])
+    for m in sorted(set(n_sub.tolist()) - {0}):
+        sel = n_sub == m
+        t_a = _take(t0, sel)
+        h = (t1 - t_a) / m
+        x, t = X[sel], t_a
+        for k in range(m):
+            x = rows.rk4(f, t, x, h)
+            t = t_a + (k + 1) * h
+        X[sel] = x
+    return X
 
 
 # ---------------------------------------------------------------------------

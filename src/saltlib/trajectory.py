@@ -86,11 +86,12 @@ class HybridTrajectory:
 
     def segment_at(self, t: float) -> int:
         """Index of the segment containing time t (latest one at boundaries)."""
-        if not self.t_start <= t <= self.t_end:
+        segments = self.segments
+        if not segments[0].times[0] <= t <= segments[-1].times[-1]:
             raise ValueError(f"t={t} outside trajectory span [{self.t_start}, {self.t_end}]")
         idx = 0
-        for k, seg in enumerate(self.segments):
-            if seg.t_start <= t:
+        for k, seg in enumerate(segments):
+            if seg.times[0] <= t:
                 idx = k
         return idx
 
@@ -98,10 +99,9 @@ class HybridTrajectory:
         """Linear interpolation of the state at time t within its segment."""
         seg = self.segments[self.segment_at(t)]
         ts = seg.times
-        j = int(np.searchsorted(ts, t, side="right")) - 1
-        j = min(max(j, 0), ts.size - 2) if ts.size > 1 else 0
         if ts.size == 1:
             return seg.states[0].copy()
+        j = min(max(int(ts.searchsorted(t, side="right")) - 1, 0), ts.size - 2)
         t0, t1 = ts[j], ts[j + 1]
         if t1 == t0:
             return seg.states[j].copy()

@@ -1,12 +1,18 @@
 """Numeric oracles: finite-difference saltation, Monte Carlo covariance,
 brute-force rollout costs, and the comparison helpers."""
 
+from collections import Counter
+from dataclasses import replace
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import saltlib as sl
+import saltlib.propagation
 from saltlib.oracles import _batch_rollout
+from saltlib.simulate import _substeps
 
 
 def _nonlinear_two_mode():
@@ -110,7 +116,9 @@ def test_numeric_saltation_detects_perturbed_event_reordering():
     traj = sl.simulate(race, 0, np.array([0.0, 1.0]), (0.0, 1.5))
     ev = traj.events[0]
     assert ev.transition_index == 0
-    with pytest.raises(sl.EventOrderChanged):
+    # the batch reports the first perturbation, in coordinate order, that reorders
+    with pytest.raises(sl.EventOrderChanged, match=r"perturbation -1h along coordinate 0 "
+                                                   r"changed the first transition from 0 to 1"):
         sl.numeric_saltation(race, 0, ev.x_minus, ev.t_event)
 
 
@@ -436,3 +444,229 @@ def test_brute_force_cost_default_draws_are_seeded():
     c = sl.brute_force_cost(*args, n_rollouts=3, seed=12)
     assert a == b
     assert a != c
+
+
+# ---------------------------------------------------------------------------
+# the oracles against one-run-at-a-time copies of themselves
+
+
+def _flow_to(f, t0, x0, t1, step):
+    """One row's RK4 flow with equal substeps of at most `step`."""
+    if t1 == t0:
+        return np.array(x0, dtype=float)
+    n_sub = _substeps(t0, t1, step)
+    h = (t1 - t0) / n_sub
+    x, t = np.array(x0, dtype=float), t0
+    for k in range(n_sub):
+        x = sl.rk4_step(f, t, x, h)
+        t = t0 + (k + 1) * h
+    return x
+
+
+def _numeric_saltation_per_run(sys_, mode0, x_ref, t_minus, h=1e-6, back_steps=5,
+                               opts=sl.SimOptions()):
+    """numeric_saltation as 2n + 1 separate back-flows, simulations and forward flows."""
+    t_start = t_minus - back_steps * opts.step
+    t_stop = t_minus + max(4.0 * opts.step, 1000.0 * h)
+
+    def run(x):
+        x_start = _flow_to(sys_.modes[mode0].f, t_minus, x, t_start, opts.step)
+        try:
+            traj = sl.simulate(sys_, mode0, x_start, (t_start, t_stop), replace(opts, max_events=1))
+        except sl.ZenoSuspected as exc:
+            traj = exc.trajectory
+        ev = traj.events[0]
+        return ev.transition_index, ev.t_event, ev.x_plus
+
+    idx0, t_e0, x_plus0 = run(x_ref)
+    plus, minus = [], []
+    for i in range(x_ref.size):
+        delta = np.zeros(x_ref.size)
+        delta[i] = h
+        plus.append(run(x_ref + delta))
+        minus.append(run(x_ref - delta))
+    assert {r[0] for r in plus + minus} == {idx0}
+    t_f = max([t_e0] + [r[1] for r in plus + minus]) + 10.0 * opts.tol_t
+    mode_j = sys_.transitions[idx0].to_mode
+    f_j = sys_.modes[mode_j].f
+    cols = np.column_stack([
+        (_flow_to(f_j, p[1], p[2], t_f, opts.step) - _flow_to(f_j, m[1], m[2], t_f, opts.step))
+        / (2.0 * h) for p, m in zip(plus, minus)])
+    A = sl.variational_flow(sys_, mode_j, t_e0, x_plus0, t_f, opts.step)
+    return np.linalg.solve(A, cols)
+
+
+def _first_impact(sys_, x0, span):
+    ev = sl.simulate(sys_, 0, x0, span).events[0]
+    assert ev.transition_index == 0
+    return ev
+
+
+@pytest.mark.parametrize("friction", ["frictionless-slide", "infinite-stick"])
+def test_batched_numeric_saltation_equals_separate_runs_bit_for_bit(friction):
+    # the ball-drop fields act on each row elementwise; the guard's x @ w
+    # only steers bisection, and each row's reset is its own call
+    _, sys_ = sl.ball_drop(sl.BallDropParams(theta=0.3, friction=friction))
+    for x0 in (np.array([0.0, 0.5, 1.0, 0.0]), np.array([0.1, 0.8, -0.4, 0.3])):
+        ev = _first_impact(sys_, x0, (0.0, 0.6))
+        batched = sl.numeric_saltation(sys_, 0, ev.x_minus, ev.t_event)
+        np.testing.assert_array_equal(batched,
+                                      _numeric_saltation_per_run(sys_, 0, ev.x_minus, ev.t_event))
+
+
+def test_batched_numeric_saltation_on_matrix_products_matches_separate_runs():
+    # affine_field, linear_guard and affine_reset multiply matrices, which
+    # numpy may round differently for a stack than for one row
+    sys_ = sl.bouncing_ball(e=0.5)
+    for height in (0.3, 1.0, 1.7):
+        ev = _first_impact(sys_, np.array([height, 0.0]), (0.0, 0.7))
+        batched = sl.numeric_saltation(sys_, 0, ev.x_minus, ev.t_event)
+        per_run = _numeric_saltation_per_run(sys_, 0, ev.x_minus, ev.t_event)
+        assert sl.matrix_rel_err(batched, per_run) <= 1e-8
+
+
+def _control(ref, B, policy, t, x):
+    """u = -K(t) (x - x_ref(t)), or 0 without a policy, sampled afresh."""
+    if policy is None:
+        return np.zeros(B.shape[1])
+    return -(policy.gain_at(t) @ (x - ref.interpolate(t)))
+
+
+def _closed_loop(sys_, ref, B, policy):
+    """sys_ under feedback, with ref, K and B sampled at every RK4 stage."""
+    def wrap(spec):
+        def f(t, x):
+            return np.asarray(spec.f(t, x), dtype=float) + B @ _control(ref, B, policy, t, x)
+        return sl.VectorFieldSpec(dim=spec.dim, f=f)
+    return sl.HybridSystem(modes=tuple(wrap(m) for m in sys_.modes),
+                           transitions=sys_.transitions)
+
+
+def _brute_force_cost_per_stage(sys_, ref, Q, V, B, P_T, policy, rows, opts):
+    """brute_force_cost that samples ref, K, B, Q and V afresh at every stage and sample."""
+    csys = _closed_loop(sys_, ref, B, policy)
+    total = 0.0
+    for row in rows:
+        traj = sl.simulate(csys, ref.segments[0].mode, ref.x_start + row,
+                           (ref.t_start, ref.t_end), opts)
+        cost = 0.0
+        for seg in traj.segments:
+            for i in range(seg.times.size - 1):
+                t = float(seg.times[i])
+                dt = float(seg.times[i + 1]) - t
+                dx = seg.states[i] - ref.interpolate(t)
+                u = _control(ref, B, policy, t, seg.states[i])
+                cost += dt * (dx @ Q @ dx + u @ V @ u)
+        dx_end = traj.x_end - ref.x_end
+        cost += float(dx_end @ P_T @ dx_end)
+        total += cost
+    return total / rows.shape[0]
+
+
+@lru_cache(maxsize=None)
+def _switch_across_event():
+    """Criterion 08's switching system and weights, with a reference from
+    (1.0, -0.2) that runs 2.2 s and so crosses the switch, and its schedule."""
+    sys_ = sl.HybridSystem(
+        modes=(sl.affine_field(np.array([[0.0, 1.0], [-2.0, -0.3]]), np.array([0.0, 0.6])),
+               sl.affine_field(np.array([[0.0, 1.0], [-1.0, -0.9]]), np.zeros(2))),
+        transitions=(sl.TransitionSpec(0, 1, sl.linear_guard(np.array([1.0, 0.0]), offset=0.1),
+                                       sl.identity_reset(2)),),
+    )
+    weights = (np.eye(2), 0.5 * np.eye(1), np.array([[0.0], [1.0]]), np.eye(2))
+    opts = sl.SimOptions(step=2e-3)
+    ref = sl.simulate(sys_, 0, np.array([1.0, -0.2]), (0.0, 2.2), opts)
+    return sys_, ref, weights, opts, sl.hybrid_lqr_backward(sys_, ref, *weights)
+
+
+class _Shifted:
+    def __init__(self, base, delta):
+        self.base, self.delta = base, delta
+
+    def gain_at(self, t):
+        return self.base.gain_at(t) + self.delta
+
+
+@pytest.mark.parametrize("n_rows", [1, 3])
+@pytest.mark.parametrize("with_policy", [True, False])
+def test_brute_force_cost_equals_the_per_stage_loop_bit_for_bit(with_policy, n_rows):
+    sys_, ref, weights, opts, sol = _switch_across_event()
+    rows = 1e-3 * np.random.Generator(np.random.Philox(7)).standard_normal((n_rows, 2))
+    policy = _Shifted(sol, np.array([[0.3, -0.2]])) if with_policy else None
+    cost = sl.brute_force_cost(sys_, ref, *weights, policy=policy, perturbations=rows,
+                               options=opts)
+    expected = _brute_force_cost_per_stage(sys_, ref, *weights, policy, rows, opts)
+    assert cost.hex() == expected.hex()
+
+
+def test_brute_force_cost_samples_gain_and_weights_once_per_distinct_time():
+    sys_, ref = _damped_reference()
+    B = np.array([[0.0], [1.0]])
+    sol = sl.hybrid_lqr_backward(sys_, ref, np.eye(2), np.eye(1), B, np.eye(2))
+    calls = {name: Counter() for name in ("gain", "Q", "V", "B")}
+
+    class Counting:
+        def gain_at(self, t):
+            calls["gain"][t] += 1
+            return sol.gain_at(t)
+
+    def counted(name, value):
+        def fn(t):
+            calls[name][t] += 1
+            return value
+        return fn
+
+    rows = 1e-3 * np.array([[1.0, -0.5], [0.3, 0.8], [-0.6, 0.2]])
+    sl.brute_force_cost(sys_, ref, counted("Q", np.eye(2)), counted("V", np.eye(1)),
+                        counted("B", B), np.eye(2), policy=Counting(), perturbations=rows)
+    grid = ref.segments[0].times
+    # three rollouts on one grid: each grid time and each half step, once
+    assert len(calls["gain"]) == 2 * grid.size - 1
+    assert set(grid.tolist()) <= set(calls["gain"])
+    for name in ("gain", "B"):
+        assert set(calls[name].values()) == {1}, name
+    assert calls["B"].keys() == calls["gain"].keys()
+    # the cost weights are read at grid samples only
+    for name in ("Q", "V"):
+        assert set(calls[name].values()) == {1}, name
+        assert set(calls[name]) == set(grid[:-1].tolist())
+
+
+def test_lqr_schedule_beats_gain_shifts_across_the_switch(monkeypatch):
+    # the reference crosses the switch at t ~ 1.626 s, well inside its 2.2 s
+    # horizon, so the Riccati jump shapes the gains that brute force scores
+    sys_, ref, weights, opts, sol = _switch_across_event()
+    assert ref.event_sequence == (0,)
+    assert 1.62 < ref.events[0].t_event < 1.63
+    prng = np.random.Generator(np.random.Philox(42))
+    rows = 1e-3 * prng.standard_normal((3, 2))
+    knorm = float(np.linalg.norm(sol.gains[0]))
+    shifted = [_Shifted(sol, 0.1 * knorm * prng.standard_normal((1, 2))) for _ in range(8)]
+
+    for policy in [sol] + shifted:
+        for row in rows:
+            traj = sl.simulate(_closed_loop(sys_, ref, weights[2], policy), 0,
+                               ref.x_start + row, (ref.t_start, ref.t_end), opts)
+            assert traj.event_sequence == (0,)
+            assert abs(traj.events[0].t_event - ref.events[0].t_event) < 0.01
+
+    def cost(policy):
+        return sl.brute_force_cost(sys_, ref, *weights, policy=policy, perturbations=rows,
+                                   options=opts)
+
+    cost_opt = cost(sol)
+    assert all(cost(policy) > cost_opt for policy in shifted)
+
+    # a pass that skips the jump (Xi replaced by D_x R, here the identity)
+    # yields other gains after the switch, and they cost more
+    linearize = saltlib.propagation._linearize
+
+    def without_jump(sys_, traj, step):
+        flows, xis = linearize(sys_, traj, step)
+        return flows, [np.eye(xi.shape[0]) for xi in xis]
+
+    monkeypatch.setattr(saltlib.propagation, "_linearize", without_jump)
+    no_jump = sl.hybrid_lqr_backward(sys_, ref, *weights)
+    monkeypatch.undo()
+    assert max(float(np.abs(a - b).max()) for a, b in zip(sol.gains, no_jump.gains)) > 0.1
+    assert cost(no_jump) > cost_opt

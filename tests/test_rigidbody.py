@@ -187,6 +187,26 @@ def test_slide_impact_closed_form_matches_trig_projector(theta):
     np.testing.assert_allclose(res.xi, sl.slide_impact_saltation(theta), rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("mu", [0.05, 0.6])
+def test_impact_into_kinetic_sliding_closed_form_matches_generic_and_oracle(mu):
+    # the post-impact sliding field carries kinetic friction, so the lower-left
+    # block of U->S differs from the frictionless projection's
+    model = _incline_model(0.3, mu)
+    sys_ = sl.build_hybrid_system(model)
+    traj = sl.simulate(sys_, 0, np.array([0.0, 0.5, 1.0, 0.0]), (0.0, 0.6))
+    ev = traj.events[0]
+    assert sys_.transition_names[ev.transition_index] == "U->S"
+    closed = sl.closed_form_saltation(model, ("U", "S"), ev.t_event, ev.x_minus).xi
+    generic = sl.saltation_matrix(sys_, ev).xi
+    # the generic fields take one 1-D state at a time: the oracle runs row by row
+    numeric = sl.numeric_saltation(sys_, 0, ev.x_minus, ev.t_event,
+                                   expected_transition=ev.transition_index)
+    assert sl.matrix_rel_err(closed, generic) <= 1e-9
+    assert sl.matrix_rel_err(numeric, generic) <= 1e-5
+    assert sl.matrix_rel_err(numeric, closed) <= 1e-5
+    assert np.abs(closed[2:, :2]).max() > 0.1
+
+
 def test_stick_impact_closed_form_matches_rational_form():
     theta = 0.3
     model, _ = sl.ball_drop(sl.BallDropParams(theta=theta, friction="infinite-stick"))
