@@ -52,8 +52,8 @@ from .propagation import (
 )
 from .rigidbody import closed_form_saltation
 from .saltation import classify_structure, saltation_matrix
-from .simulate import DEFAULT_STEP, SimOptions, flow_to, simulate
-from .system import HybridSystem
+from .simulate import _ONE_ROW, DEFAULT_STEP, SimOptions, _locate, simulate
+from .system import GuardSpec, HybridSystem
 from .trajectory import HybridTrajectory
 
 EXIT_OK = 0
@@ -118,11 +118,6 @@ def _floats(text: str) -> np.ndarray:
         return np.array([float(v) for v in text.split(",") if v.strip() != ""])
     except ValueError:
         raise SchemaError("", f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _matrix(text: str) -> np.ndarray:
-    rows = [r for r in text.split(";") if r.strip() != ""]
-    return np.vstack([_floats(r) for r in rows])
 
 
 def _add_model_args(sp: argparse.ArgumentParser) -> None:
@@ -291,9 +286,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-_TAG_BY_NAME = {"U": "U", "V": "V", "S": "S", "C": "C"}
-
-
 def cmd_saltation(args) -> int:
     sys_, model = _build_system(args)
     mode0 = _resolve_mode(sys_, args.mode0)
@@ -356,8 +348,12 @@ def _auto_period(sys_: HybridSystem, mode0: int, x0: np.ndarray, t0: float,
         raise SaltlibError("flow vanishes at x0; cannot build a return section")
     normal = f0 / nf
     scale = 1.0 + float(np.linalg.norm(x0))
+    # positive before the section, as the engine's bisection expects; not a
+    # rollout guard, since through an apex of the ball drop it would cross
+    # together with V->U and raise AmbiguousEvent
+    section = GuardSpec(g=lambda t, x: -float((x - x0) @ normal),
+                        jac_x=lambda t, x: -normal, jac_t=lambda t, x: 0.0)
 
-    best = None
     t_min = t0 + 10.0 * opts.step
     for seg in scout.segments:
         if seg.mode != mode0:
@@ -368,25 +364,11 @@ def _auto_period(sys_: HybridSystem, mode0: int, x0: np.ndarray, t0: float,
             if seg.times[i] < t_min or not (near[i] or near[i + 1]):
                 continue
             if s_vals[i] < 0.0 <= s_vals[i + 1]:
-                f = sys_.modes[seg.mode].f
-                t_lo, t_hi = float(seg.times[i]), float(seg.times[i + 1])
-                x_base = seg.states[i]
-                for _ in range(80):
-                    if t_hi - t_lo <= opts.tol_t:
-                        break
-                    t_mid = 0.5 * (t_lo + t_hi)
-                    x_mid = flow_to(f, float(seg.times[i]), x_base, t_mid, opts.step)
-                    if float((x_mid - x0) @ normal) < 0.0:
-                        t_lo = t_mid
-                    else:
-                        t_hi = t_mid
-                best = t_hi
-                break
-        if best is not None:
-            break
-    if best is None:
-        raise SaltlibError("no return to the initial section found within --t")
-    return best - t0
+                t_e, _, _, _ = _locate(_ONE_ROW, sys_.modes[mode0].f, section, np.ones(1),
+                                       seg.times[i:i + 1], seg.states[i:i + 1],
+                                       seg.times[i + 1:i + 2], seg.states[i + 1:i + 2], opts)
+                return float(t_e[0]) - t0
+    raise SaltlibError("no return to the initial section found within --t")
 
 
 def cmd_monodromy(args) -> int:
@@ -468,6 +450,26 @@ def cmd_covariance(args) -> int:
     return exit_code
 
 
+def _lqr_matrix(text: Optional[str], field: str, rows: int, cols: Optional[int]) -> np.ndarray:
+    """An lqr matrix option of shape (rows, cols), ;-separated rows of
+    comma-separated numbers; cols None leaves the column count free. A missing
+    option is the identity, and a square one may be a scalar s for s I."""
+    if not text:
+        return np.eye(rows)
+    try:
+        if cols == rows and ";" not in text:
+            (s,) = _floats(text)
+            return s * np.eye(rows)
+        mat = np.vstack([_floats(r) for r in text.split(";") if r.strip() != ""])
+    except (SchemaError, ValueError):
+        raise SchemaError(field, f"expected a number or ;-separated rows of numbers, "
+                                 f"got {text!r}") from None
+    if mat.shape[0] != rows or cols not in (None, mat.shape[1]):
+        raise SchemaError(field, f"expected {rows} rows and {cols or 'any number of'} columns, "
+                                 f"got shape {mat.shape}")
+    return mat
+
+
 def cmd_lqr(args) -> int:
     sys_, _ = _build_system(args)
     mode0 = _resolve_mode(sys_, args.mode0)
@@ -476,14 +478,10 @@ def cmd_lqr(args) -> int:
     opts = _options(args)
     traj = simulate(sys_, mode0, x0, (args.t0, _require_t(args)), opts)
 
-    B = _matrix(args.b) if args.b else np.eye(n)
-    m_u = B.shape[1]
-    Q = _matrix(args.q) if args.q and ";" in args.q else \
-        (float(args.q) if args.q else 1.0) * np.eye(n)
-    V = _matrix(args.v) if args.v and ";" in args.v else \
-        (float(args.v) if args.v else 1.0) * np.eye(m_u)
-    P_T = _matrix(args.p_terminal) if args.p_terminal and ";" in args.p_terminal else \
-        (float(args.p_terminal) if args.p_terminal else 1.0) * np.eye(n)
+    B = _lqr_matrix(args.b, "b", n, None)
+    Q = _lqr_matrix(args.q, "q", n, n)
+    V = _lqr_matrix(args.v, "v", B.shape[1], B.shape[1])
+    P_T = _lqr_matrix(args.p_terminal, "p_terminal", n, n)
 
     sol = hybrid_lqr_backward(sys_, traj, Q, V, B, P_T, step=args.step)
     doc = {

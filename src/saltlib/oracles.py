@@ -202,14 +202,15 @@ def monte_carlo_covariance(
     n_samples: int = 100_000,
     seed: int = 0,
     options: Optional[SimOptions] = None,
-    vectorized: bool = True,
     split_tol: float = 0.01,
 ) -> np.ndarray:
     """Sample covariance of the hybrid flow at the end of t_span.
 
     Draws n_samples Gaussian initial states with a counter-based generator
     (fully reproducible from seed), rolls each through the hybrid dynamics,
-    and reduces with a fixed pairwise tree so results are byte-stable.
+    and reduces with a fixed pairwise tree so results are byte-stable. The
+    samples roll as one batch, or one row at a time when a field, guard or
+    reset does not broadcast over a leading row axis.
 
     Raises SplitDistribution when more than split_tol of the samples execute
     a different event sequence than the mean trajectory does: a covariance
@@ -225,14 +226,10 @@ def monte_carlo_covariance(
     X0 = mean0 + rng.standard_normal((n_samples, n)) @ L.T
 
     _, (nominal_code,) = _rollout(_ONE_ROW, sys, mode0, t0, mean0[None], t1, opts)
-    if vectorized:
-        X_f, codes = _batch_rollout(sys, mode0, X0, t0, t1, opts)
-    else:
-        # one row at a time: the path for callables that do not broadcast
-        X_f = np.empty_like(X0)
-        codes = np.zeros(n_samples, dtype=np.int64)
-        for i in range(n_samples):
-            X_f[i:i + 1], codes[i:i + 1] = _rollout(_ONE_ROW, sys, mode0, t0, X0[i:i + 1], t1, opts)
+    runs = _stack_or_each_row(lambda rows, s: _rollout(rows, sys, mode0, t0, X0[s], t1, opts),
+                              n_samples)
+    X_f = np.concatenate([x for x, _ in runs])
+    codes = np.concatenate([c for _, c in runs])
 
     frac = float(np.mean(codes != nominal_code))
     if frac > split_tol:

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .saltation import SaltationResult
 from .simulate import EPS_TRANS
-from .system import GuardSpec, HybridSystem, ResetSpec, TransitionSpec, VectorFieldSpec
+from .system import GuardSpec, HybridSystem, ResetSpec, TransitionSpec, VectorFieldSpec, identity_reset
 
 EPS_SLIDE = 1e-10
 
@@ -173,36 +173,47 @@ def _jdot(jfun: Callable[[np.ndarray], np.ndarray], q: np.ndarray, qd: np.ndarra
 
 
 def _constraint_rows(model: RigidBodyModel, mode: ContactMode, q: np.ndarray) -> np.ndarray:
-    if mode in (ContactMode.U, ContactMode.V):
-        return np.zeros((0, model.m))
+    """Constraint rows of contact mode S or C."""
     if mode is ContactMode.S:
         return model.jn(q)
     return np.vstack([model.jn(q), model.jt(q)])
 
 
-def _sliding_normal_force(model: RigidBodyModel, q: np.ndarray, qd: np.ndarray,
-                          tau: np.ndarray, direction: float) -> float:
-    """Normal force under kinetic friction, from the coupled contact solve.
+def _constraint_jdot(model: RigidBodyModel, mode: ContactMode, q: np.ndarray,
+                     qd: np.ndarray) -> np.ndarray:
+    """Time derivative of _constraint_rows along qd."""
+    rows = [_jdot(model.J_n, q, qd)]
+    if mode is ContactMode.C and model.jt(q).shape[0]:
+        rows.append(_jdot(model.J_t, q, qd))
+    return np.vstack(rows)
 
-    The friction force -direction * mu_k * f_n * J_t^T enters the force
+
+def _slide_sign(v_t: float, slide_direction: Optional[float], floor: float) -> float:
+    """Direction of kinetic friction's sliding: the sign of slide_direction
+    when given, which must be nonzero, else the sign of the tangential speed
+    v_t, which must exceed floor in magnitude."""
+    if slide_direction is not None:
+        d = float(np.sign(slide_direction))
+        if d == 0.0:
+            raise ValueError("slide_direction must be nonzero")
+        return d
+    if abs(v_t) <= floor:
+        raise SlidingSingularity(f"tangential speed {v_t:.3e} too small to orient kinetic friction")
+    return float(np.sign(v_t))
+
+
+def _contact_solve(model: RigidBodyModel, mode: ContactMode, t: float, x: np.ndarray,
+                   slide_floor: float, slide_direction: Optional[float] = None,
+                   forces: bool = False) -> np.ndarray:
+    """State derivative in one contact mode or, with `forces` in S or C, the
+    contact forces that constraint_forces returns.
+
+    Under kinetic friction in S the force -d mu_k f_n J_t^T enters the force
     balance while only J_n constrains the acceleration, so f_n solves
-      J_n M^-1 (J_n^T - d mu_k J_t^T) f_n = -(Jdot_n qd + J_n M^-1 tau).
+      J_n M^-1 (J_n^T - d mu_k J_t^T) f_n = -(Jdot_n qd + J_n M^-1 tau)
+    with d from _slide_sign. Frictionless sliding and sticking invert the
+    KKT blocks of their constraint rows instead.
     """
-    jn = model.jn(q)
-    jt = model.jt(q)
-    M = np.asarray(model.mass(q), dtype=float)
-    minv_tau = np.linalg.solve(M, tau)
-    jdot_n = _jdot(model.J_n, q, qd)
-    rhs = -(jdot_n @ qd + jn @ minv_tau)[0]
-    force_dir = jn.T - direction * model.mu_k * jt.T if jt.shape[0] else jn.T
-    denom = (jn @ np.linalg.solve(M, force_dir))[0, 0]
-    if abs(denom) < 1e-14:
-        raise SingularConstraint("frictional contact solve is singular")
-    return float(rhs / denom)
-
-
-def _dynamics(model: RigidBodyModel, mode: ContactMode, t: float, x: np.ndarray,
-              slide_floor: float, slide_direction: Optional[float] = None) -> np.ndarray:
     q, qd = model.split(x)
     M = np.asarray(model.mass(q), dtype=float)
     C = np.asarray(model.coriolis(q, qd), dtype=float)
@@ -211,40 +222,31 @@ def _dynamics(model: RigidBodyModel, mode: ContactMode, t: float, x: np.ndarray,
     tau = u - N - C @ qd
 
     if mode in (ContactMode.U, ContactMode.V):
-        qdd = np.linalg.solve(M, tau)
-        return np.concatenate([qd, qdd])
+        return np.concatenate([qd, np.linalg.solve(M, tau)])
 
     if mode is ContactMode.S and model.mu_k > 0.0:
         if not np.isfinite(model.mu_k):
             raise ValueError("sliding mode requires finite mu_k")
-        v_t = float((model.jt(q) @ qd)[0]) if model.jt(q).shape[0] else 0.0
-        if slide_direction is not None:
-            d = float(np.sign(slide_direction))
-            if d == 0.0:
-                raise ValueError("slide_direction must be nonzero")
-        else:
-            if abs(v_t) <= slide_floor:
-                raise SlidingSingularity(
-                    f"tangential speed {v_t:.3e} too small to orient kinetic friction"
-                )
-            d = float(np.sign(v_t))
-        f_n = _sliding_normal_force(model, q, qd, tau, d)
         jn, jt = model.jn(q), model.jt(q)
+        v_t = float((jt @ qd)[0]) if jt.shape[0] else 0.0
+        d = _slide_sign(v_t, slide_direction, slide_floor)
+        rhs = -(_jdot(model.J_n, q, qd) @ qd + jn @ np.linalg.solve(M, tau))[0]
+        force_dir = jn.T - d * model.mu_k * jt.T if jt.shape[0] else jn.T
+        denom = (jn @ np.linalg.solve(M, force_dir))[0, 0]
+        if abs(denom) < 1e-14:
+            raise SingularConstraint("frictional contact solve is singular")
+        f_n = float(rhs / denom)
+        if forces:
+            return np.array([f_n])
         tau_c = tau + (jn.T * f_n - d * model.mu_k * f_n * jt.T).ravel()
         # acceleration already satisfies the normal constraint by construction
-        qdd = np.linalg.solve(M, tau_c)
-        return np.concatenate([qd, qdd])
+        return np.concatenate([qd, np.linalg.solve(M, tau_c)])
 
-    # frictionless sliding or full stick: constrained flow via the KKT blocks
-    J = _constraint_rows(model, mode, q)
-    blocks = dagger_blocks(M, J)
-    if mode is ContactMode.S:
-        jdot = _jdot(model.J_n, q, qd)
-    else:
-        jdot = np.vstack([_jdot(model.J_n, q, qd), _jdot(model.J_t, q, qd)]) \
-            if model.jt(q).shape[0] else _jdot(model.J_n, q, qd)
-    qdd = blocks.m_dag @ tau - blocks.j_dag.T @ (jdot @ qd)
-    return np.concatenate([qd, qdd])
+    blocks = dagger_blocks(M, _constraint_rows(model, mode, q))
+    jdot_qd = _constraint_jdot(model, mode, q, qd) @ qd
+    if forces:
+        return -(blocks.j_dag @ tau - blocks.lam_dag @ jdot_qd)
+    return np.concatenate([qd, blocks.m_dag @ tau - blocks.j_dag.T @ jdot_qd])
 
 
 def mode_dynamics(model: RigidBodyModel, mode: ModeLike, t: float, x: np.ndarray,
@@ -255,7 +257,7 @@ def mode_dynamics(model: RigidBodyModel, mode: ModeLike, t: float, x: np.ndarray
     EPS_SLIDE (or slide_direction must be supplied) so the friction force has
     a well-defined direction.
     """
-    return _dynamics(model, _as_mode(mode), t, x, EPS_SLIDE, slide_direction)
+    return _contact_solve(model, _as_mode(mode), t, x, EPS_SLIDE, slide_direction)
 
 
 def constraint_forces(model: RigidBodyModel, mode: ModeLike, t: float,
@@ -264,39 +266,26 @@ def constraint_forces(model: RigidBodyModel, mode: ModeLike, t: float,
 
     Returns one entry per active constraint row ([f_n] in S, [f_n, f_t] in C),
     positive normal force pushing the body off the surface. Separated modes
-    return an empty array.
+    return an empty array. Kinetic friction is oriented as in mode_dynamics.
     """
     mode = _as_mode(mode)
-    q, qd = model.split(x)
     if mode in (ContactMode.U, ContactMode.V):
+        model.split(x)  # still rejects a state of the wrong shape
         return np.zeros(0)
+    return _contact_solve(model, mode, t, x, EPS_SLIDE, slide_direction, forces=True)
+
+
+def _impact_blocks(model: RigidBodyModel, target_mode: ContactMode,
+                   q: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, DaggerBlocks]:
+    """(M, J, e, dagger blocks) of the impact into target_mode V, S or C:
+    elastic V reflects J_n qd with restitution model.e, plastic S and C
+    project qd onto their constraint rows."""
     M = np.asarray(model.mass(q), dtype=float)
-    C = np.asarray(model.coriolis(q, qd), dtype=float)
-    N = np.asarray(model.nonlin(q, qd), dtype=float)
-    u = np.asarray(model.input(t, q, qd), dtype=float)
-    tau = u - N - C @ qd
-
-    if mode is ContactMode.S and model.mu_k > 0.0:
-        v_t = float((model.jt(q) @ qd)[0]) if model.jt(q).shape[0] else 0.0
-        if slide_direction is not None:
-            d = float(np.sign(slide_direction))
-        else:
-            if abs(v_t) <= EPS_SLIDE:
-                raise SlidingSingularity(
-                    f"tangential speed {v_t:.3e} too small to orient kinetic friction"
-                )
-            d = float(np.sign(v_t))
-        return np.array([_sliding_normal_force(model, q, qd, tau, d)])
-
-    J = _constraint_rows(model, mode, q)
-    blocks = dagger_blocks(M, J)
-    if mode is ContactMode.S:
-        jdot = _jdot(model.J_n, q, qd)
+    if target_mode is ContactMode.V:
+        J, e = model.jn(q), model.e
     else:
-        jdot = np.vstack([_jdot(model.J_n, q, qd), _jdot(model.J_t, q, qd)]) \
-            if model.jt(q).shape[0] else _jdot(model.J_n, q, qd)
-    multiplier = blocks.j_dag @ tau - blocks.lam_dag @ (jdot @ qd)
-    return -multiplier
+        J, e = _constraint_rows(model, target_mode, q), 0.0
+    return M, J, e, dagger_blocks(M, J)
 
 
 def impact_impulse(model: RigidBodyModel, target_mode: ModeLike, t: float,
@@ -304,16 +293,9 @@ def impact_impulse(model: RigidBodyModel, target_mode: ModeLike, t: float,
     """Constraint-frame impulse of the impact map, multiplier convention."""
     mode = _as_mode(target_mode)
     q, qd = model.split(x_minus)
-    M = np.asarray(model.mass(q), dtype=float)
-    if mode is ContactMode.V:
-        J, e = model.jn(q), model.e
-    elif mode is ContactMode.S:
-        J, e = model.jn(q), 0.0
-    elif mode is ContactMode.C:
-        J, e = _constraint_rows(model, ContactMode.C, q), 0.0
-    else:
+    if mode is ContactMode.U:
         return np.zeros(0)
-    blocks = dagger_blocks(M, J)
+    M, J, e, blocks = _impact_blocks(model, mode, q)
     return blocks.j_dag @ (M @ qd) - e * blocks.lam_dag @ (J @ qd)
 
 
@@ -328,14 +310,7 @@ def impact_reset(model: RigidBodyModel, target_mode: ModeLike, t: float,
     q, qd = model.split(x_minus)
     if mode is ContactMode.U:
         return np.asarray(x_minus, dtype=float).copy()
-    M = np.asarray(model.mass(q), dtype=float)
-    if mode is ContactMode.V:
-        J, e = model.jn(q), model.e
-    elif mode is ContactMode.S:
-        J, e = model.jn(q), 0.0
-    else:
-        J, e = _constraint_rows(model, ContactMode.C, q), 0.0
-    blocks = dagger_blocks(M, J)
+    M, J, e, blocks = _impact_blocks(model, mode, q)
     qd_plus = blocks.m_dag @ (M @ qd) - e * blocks.j_dag.T @ (J @ qd)
     return np.concatenate([q, qd_plus])
 
@@ -343,17 +318,12 @@ def impact_reset(model: RigidBodyModel, target_mode: ModeLike, t: float,
 def _post_impact_velocity_matrix(model: RigidBodyModel, target_mode: ContactMode,
                                  q: np.ndarray) -> np.ndarray:
     """Matrix W(q) with qd+ = W qd- for the impact into target_mode."""
-    M = np.asarray(model.mass(q), dtype=float)
+    if target_mode is ContactMode.U:
+        return np.eye(model.m)
+    M, J, e, blocks = _impact_blocks(model, target_mode, q)
     if target_mode is ContactMode.V:
-        blocks = dagger_blocks(M, model.jn(q))
-        return blocks.m_dag @ M - model.e * blocks.j_dag.T @ model.jn(q)
-    if target_mode is ContactMode.S:
-        blocks = dagger_blocks(M, model.jn(q))
-        return blocks.m_dag @ M
-    if target_mode is ContactMode.C:
-        blocks = dagger_blocks(M, _constraint_rows(model, ContactMode.C, q))
-        return blocks.m_dag @ M
-    return np.eye(model.m)
+        return blocks.m_dag @ M - e * blocks.j_dag.T @ J
+    return blocks.m_dag @ M
 
 
 def _dq_velocity_product(model: RigidBodyModel, tag: str, target_mode: ContactMode,
@@ -389,19 +359,21 @@ def _impact_guard(model: RigidBodyModel) -> GuardSpec:
     return GuardSpec(g=g, jac_x=jac_x)
 
 
-def _apex_guard(model: RigidBodyModel) -> GuardSpec:
-    # separation-velocity guard: fires when J_n qd falls to zero from above
+def _velocity_guard(model: RigidBodyModel, jac: Callable[[np.ndarray], np.ndarray],
+                    two_sided: bool = False) -> GuardSpec:
+    """Guard on the contact velocity J(q) qd, with J = model.jn (the apex:
+    the separation velocity falls to zero from above) or model.jt (the slip
+    stop: the tangential velocity crosses zero from either side)."""
     def g(t, x):
         q, qd = model.split(np.asarray(x, dtype=float))
-        return float((model.jn(q) @ qd)[0])
+        return float((jac(q) @ qd)[0])
 
     def jac_x(t, x):
         q, qd = model.split(np.asarray(x, dtype=float))
-        jn = model.jn(q)
-        dq = fd.jac_q(lambda qq: (model.jn(qq) @ qd).ravel(), q)[0]
-        return np.concatenate([dq, jn[0]])
+        dq = fd.jac_q(lambda qq: (jac(qq) @ qd).ravel(), q)[0]
+        return np.concatenate([dq, jac(q)[0]])
 
-    return GuardSpec(g=g, jac_x=jac_x, jac_t=lambda t, x: 0.0)
+    return GuardSpec(g=g, jac_x=jac_x, jac_t=lambda t, x: 0.0, two_sided=two_sided)
 
 
 def _liftoff_guard(model: RigidBodyModel, from_mode: ContactMode) -> GuardSpec:
@@ -409,23 +381,6 @@ def _liftoff_guard(model: RigidBodyModel, from_mode: ContactMode) -> GuardSpec:
         return float(constraint_forces(model, from_mode, t, np.asarray(x, dtype=float))[0])
 
     return GuardSpec(g=g)
-
-
-def _slip_stop_guard(model: RigidBodyModel) -> GuardSpec:
-    # signed tangential velocity; crossing zero from either side ends sliding
-    def g(t, x):
-        x = np.asarray(x, dtype=float)
-        q = x[..., : model.m]
-        qd = x[..., model.m:]
-        return float((model.jt(q) @ qd)[0])
-
-    def jac_x(t, x):
-        q, qd = model.split(np.asarray(x, dtype=float))
-        jt = model.jt(q)
-        dq = fd.jac_q(lambda qq: (model.jt(qq) @ qd).ravel(), q)[0]
-        return np.concatenate([dq, jt[0]])
-
-    return GuardSpec(g=g, jac_x=jac_x, jac_t=lambda t, x: 0.0, two_sided=True)
 
 
 def _cone_break_guard(model: RigidBodyModel) -> GuardSpec:
@@ -441,7 +396,7 @@ def _mode_field(model: RigidBodyModel, mode: ContactMode) -> VectorFieldSpec:
     def f(t, x):
         # integrators may probe exactly v_t = 0; only that single point is
         # genuinely undefined for kinetic friction
-        return _dynamics(model, mode, t, np.asarray(x, dtype=float), 0.0)
+        return _contact_solve(model, mode, t, np.asarray(x, dtype=float), 0.0)
 
     return VectorFieldSpec(dim=model.dim, f=f)
 
@@ -454,23 +409,9 @@ def _impact_reset_spec(model: RigidBodyModel, target: ContactMode) -> ResetSpec:
         q, qd = model.split(np.asarray(x, dtype=float))
         W = _post_impact_velocity_matrix(model, target, q)
         dq = _dq_velocity_product(model, f"impact->{target.value}", target, q, qd)
-        m = model.m
-        out = np.zeros((2 * m, 2 * m))
-        out[:m, :m] = np.eye(m)
-        out[m:, :m] = dq
-        out[m:, m:] = W
-        return out
+        return _assemble(model, np.eye(model.m), dq, W)
 
     return ResetSpec(r=r, jac_x=jac_x, jac_t=lambda t, x: np.zeros(model.dim))
-
-
-def _identity_reset_spec(model: RigidBodyModel) -> ResetSpec:
-    eye = np.eye(model.dim)
-    return ResetSpec(
-        r=lambda t, x: np.asarray(x, dtype=float).copy(),
-        jac_x=lambda t, x: eye,
-        jac_t=lambda t, x: np.zeros(model.dim),
-    )
 
 
 def mode_tags(model: RigidBodyModel) -> list[ContactMode]:
@@ -495,6 +436,8 @@ def build_hybrid_system(model: RigidBodyModel) -> HybridSystem:
     tags = mode_tags(model)
     index = {tag: i for i, tag in enumerate(tags)}
     modes = [_mode_field(model, tag) for tag in tags]
+    identity = identity_reset(model.dim)
+    apex = _velocity_guard(model, model.jn)
     transitions: list[TransitionSpec] = []
     names: list[str] = []
 
@@ -505,24 +448,21 @@ def build_hybrid_system(model: RigidBodyModel) -> HybridSystem:
     if model.e > 0.0:
         add(ContactMode.U, ContactMode.V, _impact_guard(model),
             _impact_reset_spec(model, ContactMode.V))
-        add(ContactMode.V, ContactMode.U, _apex_guard(model), _identity_reset_spec(model))
+        add(ContactMode.V, ContactMode.U, apex, identity)
     elif not np.isfinite(model.mu_s):
         add(ContactMode.U, ContactMode.C, _impact_guard(model),
             _impact_reset_spec(model, ContactMode.C))
-        add(ContactMode.C, ContactMode.V, _liftoff_guard(model, ContactMode.C),
-            _identity_reset_spec(model))
-        add(ContactMode.V, ContactMode.U, _apex_guard(model), _identity_reset_spec(model))
+        add(ContactMode.C, ContactMode.V, _liftoff_guard(model, ContactMode.C), identity)
+        add(ContactMode.V, ContactMode.U, apex, identity)
     else:
         add(ContactMode.U, ContactMode.S, _impact_guard(model),
             _impact_reset_spec(model, ContactMode.S))
-        add(ContactMode.S, ContactMode.V, _liftoff_guard(model, ContactMode.S),
-            _identity_reset_spec(model))
-        add(ContactMode.V, ContactMode.U, _apex_guard(model), _identity_reset_spec(model))
+        add(ContactMode.S, ContactMode.V, _liftoff_guard(model, ContactMode.S), identity)
+        add(ContactMode.V, ContactMode.U, apex, identity)
         if model.mu_s > 0.0:
-            add(ContactMode.S, ContactMode.C, _slip_stop_guard(model),
-                _identity_reset_spec(model))
-            add(ContactMode.C, ContactMode.S, _cone_break_guard(model),
-                _identity_reset_spec(model))
+            add(ContactMode.S, ContactMode.C, _velocity_guard(model, model.jt, two_sided=True),
+                identity)
+            add(ContactMode.C, ContactMode.S, _cone_break_guard(model), identity)
 
     return HybridSystem(
         modes=tuple(modes),
@@ -534,15 +474,6 @@ def build_hybrid_system(model: RigidBodyModel) -> HybridSystem:
 
 # ---------------------------------------------------------------------------
 # closed-form saltation matrices
-
-
-def _field_pair(model: RigidBodyModel, src: ContactMode, dst: ContactMode, t: float,
-                x_minus: np.ndarray, x_plus: np.ndarray,
-                src_dir: Optional[float] = None,
-                dst_dir: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
-    f_minus = _dynamics(model, src, t, x_minus, 0.0, src_dir)
-    f_plus = _dynamics(model, dst, t, x_plus, 0.0, dst_dir)
-    return f_minus, f_plus
 
 
 def _assemble(model: RigidBodyModel, ul: np.ndarray, ll: np.ndarray,
@@ -557,8 +488,8 @@ def _assemble(model: RigidBodyModel, ul: np.ndarray, ll: np.ndarray,
 
 def _identity_saltation(model: RigidBodyModel, src: ContactMode, dst: ContactMode,
                         t: float, x: np.ndarray, denom: float,
-                        src_dir: Optional[float] = None) -> SaltationResult:
-    f_minus, f_plus = _field_pair(model, src, dst, t, x, x, src_dir=src_dir)
+                        f_minus: np.ndarray) -> SaltationResult:
+    f_plus = _contact_solve(model, dst, t, x, 0.0)
     gap = float(np.max(np.abs(f_plus - f_minus)))
     if gap > 1e-6 * (1.0 + float(np.max(np.abs(f_minus)))):
         raise ValueError(
@@ -592,11 +523,11 @@ def closed_form_saltation(model: RigidBodyModel, transition: Sequence[ModeLike],
     if pair == (ContactMode.V, ContactMode.U):
         # apex: identical ballistic fields on both sides of a velocity guard
         jn = model.jn(q)
-        f_minus = _dynamics(model, src, t, x_minus, 0.0)
+        f_minus = _contact_solve(model, src, t, x_minus, 0.0)
         qdd = f_minus[model.m:]
         jdot = _jdot(model.J_n, q, qd)
         denom = float((jdot @ qd + jn @ qdd)[0])
-        return _identity_saltation(model, src, dst, t, x_minus, denom)
+        return _identity_saltation(model, src, dst, t, x_minus, denom, f_minus)
 
     if pair in ((ContactMode.S, ContactMode.V), (ContactMode.C, ContactMode.V)):
         # liftoff: constrained and free accelerations agree when f_n = 0
@@ -604,10 +535,9 @@ def closed_form_saltation(model: RigidBodyModel, transition: Sequence[ModeLike],
             return float(constraint_forces(model, src, tt, xx,
                                            slide_direction=slide_direction)[0])
 
-        f_minus = _dynamics(model, src, t, x_minus, 0.0, slide_direction)
+        f_minus = _contact_solve(model, src, t, x_minus, 0.0, slide_direction)
         denom = _total_guard_derivative(g, t, x_minus, f_minus)
-        return _identity_saltation(model, src, dst, t, x_minus, denom,
-                                   src_dir=slide_direction)
+        return _identity_saltation(model, src, dst, t, x_minus, denom, f_minus)
 
     if src is ContactMode.U and dst in (ContactMode.S, ContactMode.C, ContactMode.V):
         return _impact_saltation(model, dst, t, x_minus, slide_direction)
@@ -632,8 +562,7 @@ def _impact_saltation(model: RigidBodyModel, dst: ContactMode, t: float,
         raise TangentialEvent("impact with vanishing normal approach velocity",
                               t=t, derivative=jn_qd)
 
-    M = np.asarray(model.mass(q), dtype=float)
-    minv = np.linalg.solve(M, np.eye(m))
+    M, J, _, blocks = _impact_blocks(model, dst, q)
     W = _post_impact_velocity_matrix(model, dst, q)
     qd_plus = W @ qd
     x_plus = np.concatenate([q, qd_plus])
@@ -641,22 +570,12 @@ def _impact_saltation(model: RigidBodyModel, dst: ContactMode, t: float,
 
     C_minus = np.asarray(model.coriolis(q, qd), dtype=float)
     C_plus = np.asarray(model.coriolis(q, qd_plus), dtype=float)
-    dst_dir = None
-    if dst is ContactMode.S and model.mu_k > 0.0:
-        v_t_plus = float((model.jt(q) @ qd_plus)[0])
-        if slide_direction is not None:
-            dst_dir = slide_direction
-        elif abs(v_t_plus) > EPS_SLIDE:
-            dst_dir = float(np.sign(v_t_plus))
-        else:
-            raise SlidingSingularity("post-impact tangential velocity does not orient friction")
-
-    f_minus, f_plus = _field_pair(model, ContactMode.U, dst, t, x_minus, x_plus,
-                                  dst_dir=dst_dir)
+    f_minus = _contact_solve(model, ContactMode.U, t, x_minus, 0.0)
+    f_plus = _contact_solve(model, dst, t, x_plus, EPS_SLIDE, slide_direction)
     row = jn[0] / jn_qd  # shared rank-one factor J_n / (J_n qd-)
 
     if dst is ContactMode.V:
-        blocks = dagger_blocks(M, jn)
+        minv = np.linalg.solve(M, np.eye(m))
         jtj = blocks.j_dag.T @ jn  # J_dag^T J_n, m x m
         N = np.asarray(model.nonlin(q, qd), dtype=float)
         u = np.asarray(model.input(t, q, qd), dtype=float)
@@ -667,25 +586,19 @@ def _impact_saltation(model: RigidBodyModel, dst: ContactMode, t: float,
         ll = z + dq_w
         lr = W
     else:
-        if dst is ContactMode.S:
-            J_c = jn
-        else:
-            J_c = _constraint_rows(model, ContactMode.C, q)
-        blocks = dagger_blocks(M, J_c)
-        if dst_dir is not None:
+        if dst is ContactMode.S and model.mu_k > 0.0:
             # kinetic friction: the sliding acceleration comes from the coupled
             # normal-force solve, not from the frictionless projection
             vec = f_plus[m:] - W @ f_minus[m:] - dq_w @ qd
         else:
-            jdot_plus = np.vstack([_jdot(model.J_n, q, qd_plus)]) if dst is ContactMode.S \
-                else np.vstack([_jdot(model.J_n, q, qd_plus), _jdot(model.J_t, q, qd_plus)])
+            jdot_plus = _constraint_jdot(model, dst, q, qd_plus)
             vec = (blocks.m_dag @ (C_minus @ qd - C_plus @ qd_plus)
                    - blocks.j_dag.T @ (jdot_plus @ qd_plus) - dq_w @ qd)
         z = np.outer(vec, row)
         if dst is ContactMode.S:
             ul = W  # plastic normal projection keeps the position block equal
         else:
-            ul = np.eye(m) - np.outer(blocks.j_dag.T @ (J_c @ qd), row)
+            ul = np.eye(m) - np.outer(blocks.j_dag.T @ (J @ qd), row)
         ll = z + dq_w
         lr = W
 
@@ -700,23 +613,15 @@ def _stick_to_slip_saltation(model: RigidBodyModel, t: float, x_minus: np.ndarra
     if not (np.isfinite(model.mu_s) and model.mu_s > 0.0):
         raise ValueError("stick-to-slip requires finite nonzero mu_s")
     forces = constraint_forces(model, ContactMode.C, t, x_minus)
-    if slide_direction is not None:
-        d = float(np.sign(slide_direction))
-        if d == 0.0:
-            raise ValueError("slide_direction must be nonzero")
-    else:
-        if abs(forces[1]) < 1e-12:
-            raise ValueError("tangential force vanishes; pass slide_direction")
-        d = float(-np.sign(forces[1]))  # slip starts against the constraint force
+    if slide_direction is None and abs(forces[1]) < 1e-12:
+        raise ValueError("tangential force vanishes; pass slide_direction")
+    d = _slide_sign(-forces[1], slide_direction, 0.0)  # slip starts against the constraint force
 
-    f_minus = _dynamics(model, ContactMode.C, t, x_minus, 0.0)
-    f_plus = _dynamics(model, ContactMode.S, t, x_minus, 0.0, d)
+    f_minus = _contact_solve(model, ContactMode.C, t, x_minus, 0.0)
+    f_plus = _contact_solve(model, ContactMode.S, t, x_minus, 0.0, d)
     eye = np.eye(model.dim)
 
-    def g(tt, xx):
-        f = constraint_forces(model, ContactMode.C, tt, np.asarray(xx, dtype=float))
-        return float(model.mu_s * abs(f[0]) - abs(f[1]))
-
+    g = _cone_break_guard(model).g
     dxg = fd.grad_x(g, t, x_minus)
     dtg = fd.diff_t(g, t, x_minus)
     denom = float(dtg + dxg @ f_minus)
@@ -737,22 +642,13 @@ def _slip_to_stick_saltation(model: RigidBodyModel, t: float, x_minus: np.ndarra
     jt = model.jt(q)
     if jt.shape[0] == 0:
         raise ValueError("slip-to-stick requires a tangential Jacobian")
-    v_t = float((jt @ qd)[0])
-    if slide_direction is not None:
-        s = float(np.sign(slide_direction))
-        if s == 0.0:
-            raise ValueError("slide_direction must be nonzero")
-    else:
-        if abs(v_t) < EPS_SLIDE:
-            raise ValueError("tangential velocity vanishes at the event; pass slide_direction")
-        s = float(np.sign(v_t))
+    s = _slide_sign(float((jt @ qd)[0]), slide_direction, EPS_SLIDE)
 
-    f_minus = _dynamics(model, ContactMode.S, t, x_minus, 0.0, s)
-    f_plus = _dynamics(model, ContactMode.C, t, x_minus, 0.0)
+    f_minus = _contact_solve(model, ContactMode.S, t, x_minus, 0.0, s)
+    f_plus = _contact_solve(model, ContactMode.C, t, x_minus, 0.0)
     qdd_minus = f_minus[model.m:]
 
-    dq_vt = fd.jac_q(lambda qq: (model.jt(qq) @ qd).ravel(), q)[0]
-    dxg = s * np.concatenate([dq_vt, jt[0]])
+    dxg = s * _velocity_guard(model, model.jt).jac_x(t, x_minus)
     jdot_t = _jdot(model.J_t, q, qd)
     denom = s * float((jdot_t @ qd + jt @ qdd_minus)[0])
     if abs(denom) < EPS_TRANS:

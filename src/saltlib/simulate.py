@@ -3,11 +3,11 @@
 One engine integrates a stack of rows, each a state in its own mode. It
 runs in two ways. `simulate`, `integrate_segment` and `locate_event` give
 it one row and call every field, guard and reset on that row's 1-D state
-with a float time. The batched Monte Carlo rollout (`oracles._batch_rollout`)
-and `oracles.numeric_saltation` give it N rows and call the callables on the
-whole (N, n) stack, so they must broadcast over a leading row axis; time is
-a float while the rows share one, else an (N,) array. Every row follows the
-same rules:
+with a float time. `oracles.monte_carlo_covariance` and
+`oracles.numeric_saltation` give it N rows and call the callables on the
+whole (N, n) stack, so they must broadcast over a leading row axis (else
+those oracles run the rows one at a time); time is a float while the rows
+share one, else an (N,) array. Every row follows the same rules:
 
 - Grid. A row steps t + step from the start of its segment, shortens the
   last step to land on t_max, and restarts its grid at every event.
@@ -156,7 +156,7 @@ class _Stack:
     """Calls fields, guards and resets once on a whole (N, n) stack."""
 
     hint = ("; a batched rollout needs fields, guards and resets that broadcast "
-            "over a leading row axis: rerun with vectorized=False")
+            "over a leading row axis")
     error = _NotBroadcast
 
     def rk4(self, f, t, X, h):

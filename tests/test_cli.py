@@ -242,6 +242,10 @@ def test_tangential_guard_contact_exit_code(tmp_path):
      "--threads", "0"],
     ["simulate", "--model", "bouncing-ball", "--x0", "1;0", "--t", "1"],
     ["simulate", "--model", "constant-flow", "--x0", "0,1", "--t", "1"],
+    ["lqr", "--model", "bouncing-ball", "--x0", "1,0", "--t", "0.6", "--q", "abc"],
+    ["lqr", "--model", "bouncing-ball", "--x0", "1,0", "--t", "0.6", "--b", "0;1;2"],
+    ["lqr", "--model", "bouncing-ball", "--x0", "1,0", "--t", "0.6", "--b", "0;1",
+     "--p-terminal", "1,0;0,1;0,0"],
 ])
 def test_input_schema_violations_exit_code(argv):
     code, _, err = _run(argv)

@@ -162,14 +162,26 @@ def test_monte_carlo_is_reproducible_from_seed():
     np.testing.assert_array_equal(a, b)
 
 
+def _one_row_only(sys_):
+    """sys_ with fields that refuse a stack of rows, so the oracles fall
+    back to running the engine one row at a time."""
+    def one_row(spec):
+        def f(t, x, _f=spec.f):
+            if np.ndim(x) != 1:
+                raise ValueError("this field takes one 1-D state")
+            return _f(t, x)
+        return replace(spec, f=f)
+    return replace(sys_, modes=tuple(one_row(spec) for spec in sys_.modes))
+
+
 def test_monte_carlo_loop_and_vectorized_paths_agree():
     sys_ = _constant_flow()
     opts = sl.SimOptions(step=5e-3)
     kw = dict(n_samples=200, seed=3, options=opts)
     vec = sl.monte_carlo_covariance(sys_, 0, np.array([0.0, 0.1]), 1e-4 * np.eye(2),
                                     (0.0, 0.2), **kw)
-    loop = sl.monte_carlo_covariance(sys_, 0, np.array([0.0, 0.1]), 1e-4 * np.eye(2),
-                                     (0.0, 0.2), vectorized=False, **kw)
+    loop = sl.monte_carlo_covariance(_one_row_only(sys_), 0, np.array([0.0, 0.1]),
+                                     1e-4 * np.eye(2), (0.0, 0.2), **kw)
     assert float(np.abs(vec - loop).max()) <= 2e-15
 
 
@@ -331,31 +343,32 @@ def _race_system():
     ), np.array([-5e-12, 1.0])
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_monte_carlo_raises_when_a_row_grazes_or_ties(vectorized):
+@pytest.mark.parametrize("broadcast", [True, False])
+def test_monte_carlo_raises_when_a_row_grazes_or_ties(broadcast):
     # the mean clears the guard by 1e-13 and the mean's crossings are 5e-12
     # apart, so simulate() accepts the mean; some samples graze (crossing
     # slope below eps_trans) or cross both guards within tol_t
+    wrap = (lambda s: s) if broadcast else _one_row_only
     sys_, mean0 = _graze_system()
     assert not sl.simulate(sys_, 0, mean0, (0.0, 2.0)).events
     with pytest.raises(sl.TangentialEvent):
-        sl.monte_carlo_covariance(sys_, 0, mean0, np.diag([1e-26, 0.0]), (0.0, 2.0),
-                                  n_samples=200, seed=0, vectorized=vectorized)
+        sl.monte_carlo_covariance(wrap(sys_), 0, mean0, np.diag([1e-26, 0.0]), (0.0, 2.0),
+                                  n_samples=200, seed=0)
     sys_, mean0 = _race_system()
     assert sl.simulate(sys_, 0, mean0, (0.0, 2.0)).event_sequence == (0,)
     with pytest.raises(sl.AmbiguousEvent):
-        sl.monte_carlo_covariance(sys_, 0, mean0, (2.5e-12) ** 2 * np.ones((2, 2)), (0.0, 2.0),
-                                  n_samples=200, seed=0, vectorized=vectorized)
+        sl.monte_carlo_covariance(wrap(sys_), 0, mean0, (2.5e-12) ** 2 * np.ones((2, 2)),
+                                  (0.0, 2.0), n_samples=200, seed=0)
 
 
-def test_vectorized_monte_carlo_names_the_fallback_for_fields_that_do_not_broadcast():
+def test_monte_carlo_runs_fields_that_do_not_broadcast_one_row_at_a_time():
     # the generic rigid-body fields take one 1-D state at a time
     model, _ = sl.ball_drop(sl.BallDropParams(theta=0.3))
     args = (sl.build_hybrid_system(model), 0, np.array([0.0, 0.3, 0.0, 0.0]),
             1e-6 * np.eye(4), (0.0, 0.05))
-    with pytest.raises(ValueError, match="vectorized=False"):
-        sl.monte_carlo_covariance(*args, n_samples=8)
-    assert sl.monte_carlo_covariance(*args, n_samples=8, vectorized=False).shape == (4, 4)
+    with pytest.raises(ValueError, match="broadcast over a leading row axis"):
+        _batch_rollout(args[0], 0, np.tile(args[2], (8, 1)), 0.0, 0.05, sl.SimOptions())
+    assert sl.monte_carlo_covariance(*args, n_samples=8).shape == (4, 4)
 
 
 def test_monte_carlo_gap_shrinks_like_root_n():

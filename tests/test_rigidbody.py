@@ -1,5 +1,7 @@
 """Contact mechanics: KKT blocks, forces, impact maps, closed-form saltations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,6 +221,17 @@ def test_stick_impact_closed_form_matches_rational_form():
     assert float(np.abs(res.xi[:2, 2:]).max()) <= 1e-10
 
 
+def test_stick_impact_without_tangential_jacobian_matches_generic():
+    # infinite stick with no J_t: the stick constraint is the normal row alone
+    model = dataclasses.replace(_incline_model(0.3), J_t=None, mu_s=np.inf, mu_k=np.inf)
+    sys_ = sl.build_hybrid_system(model)
+    traj = sl.simulate(sys_, 0, np.array([0.0, 0.5, 1.0, 0.0]), (0.0, 0.6))
+    ev = traj.events[0]
+    assert sys_.transition_names[ev.transition_index] == "U->C"
+    closed = sl.closed_form_saltation(model, ("U", "C"), ev.t_event, ev.x_minus).xi
+    assert sl.matrix_rel_err(closed, sl.saltation_matrix(sys_, ev).xi) <= 1e-9
+
+
 def test_stick_impact_zero_eigenvector_is_velocity_direction():
     theta = 0.3
     qd = np.array([0.7, -1.9])
@@ -274,6 +287,23 @@ def test_sliding_singularity_requires_direction():
     assert np.all(np.isfinite(f))
     with pytest.raises(SlidingSingularity):
         sl.constraint_forces(model, "S", 0.0, x)
+
+
+def test_one_friction_direction_rule_for_fields_forces_and_slip_stop():
+    # slide_direction, when given, must be nonzero; without it the tangential
+    # speed must orient kinetic friction, else SlidingSingularity
+    model = _incline_model(0.3)
+    x = _on_surface_state(0.3, [0.0, 0.0])
+    calls = (
+        lambda **kw: sl.mode_dynamics(model, "S", 0.0, x, **kw),
+        lambda **kw: sl.constraint_forces(model, "S", 0.0, x, **kw),
+        lambda **kw: sl.closed_form_saltation(model, ("S", "C"), 0.0, x, **kw),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="nonzero"):
+            call(slide_direction=0.0)
+        with pytest.raises(SlidingSingularity):
+            call()
 
 
 def test_driven_stick_to_slip_is_identity_on_cone_boundary():
