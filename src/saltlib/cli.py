@@ -113,11 +113,12 @@ def _emit_json(doc, path: Optional[str]) -> None:
     _emit(json.dumps(_py(doc), sort_keys=True, indent=2) + "\n", path)
 
 
-def _floats(text: str) -> np.ndarray:
+def _floats(text: str, option: str) -> np.ndarray:
+    """The comma-separated numbers of `text`; a SchemaError names `option`."""
     try:
         return np.array([float(v) for v in text.split(",") if v.strip() != ""])
     except ValueError:
-        raise SchemaError("", f"expected comma-separated numbers, got {text!r}") from None
+        raise SchemaError(option, f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _add_model_args(sp: argparse.ArgumentParser) -> None:
@@ -194,8 +195,9 @@ def _build_system(args) -> tuple[HybridSystem, Optional[object]]:
         return system, model
     if args.f_i is None or args.f_j is None or args.guard_normal is None:
         raise SchemaError("model", "constant-flow requires --f-i, --f-j, --guard-normal")
-    return constant_flow_two_mode(_floats(args.f_i), _floats(args.f_j),
-                                  _floats(args.guard_normal), args.offset), None
+    return constant_flow_two_mode(_floats(args.f_i, "--f-i"), _floats(args.f_j, "--f-j"),
+                                  _floats(args.guard_normal, "--guard-normal"),
+                                  args.offset), None
 
 
 def _resolve_mode(sys: HybridSystem, label: str) -> int:
@@ -213,7 +215,7 @@ def _resolve_mode(sys: HybridSystem, label: str) -> int:
 def _require_x0(args) -> np.ndarray:
     if args.x0 is None:
         raise SchemaError("x0", "--x0 is required")
-    return _floats(args.x0)
+    return _floats(args.x0, "--x0")
 
 
 def _require_t(args) -> float:
@@ -390,7 +392,7 @@ def cmd_monodromy(args) -> int:
 
 
 def _parse_sigma(text: str, n: int) -> np.ndarray:
-    vals = _floats(text)
+    vals = _floats(text, "--sigma0")
     if vals.size == 1:
         return float(vals[0]) * np.eye(n)
     if vals.size == n:
@@ -458,9 +460,9 @@ def _lqr_matrix(text: Optional[str], field: str, rows: int, cols: Optional[int])
         return np.eye(rows)
     try:
         if cols == rows and ";" not in text:
-            (s,) = _floats(text)
+            (s,) = _floats(text, field)
             return s * np.eye(rows)
-        mat = np.vstack([_floats(r) for r in text.split(";") if r.strip() != ""])
+        mat = np.vstack([_floats(r, field) for r in text.split(";") if r.strip() != ""])
     except (SchemaError, ValueError):
         raise SchemaError(field, f"expected a number or ;-separated rows of numbers, "
                                  f"got {text!r}") from None

@@ -16,7 +16,7 @@ S and/or C depending on the friction coefficients.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -34,6 +34,8 @@ from .system import GuardSpec, HybridSystem, ResetSpec, TransitionSpec, VectorFi
 EPS_SLIDE = 1e-10
 
 COND_LIMIT = 1e12
+
+_KKT_MEMO_SIZE = 4
 
 
 class ContactMode(enum.Enum):
@@ -70,6 +72,9 @@ class RigidBodyModel:
     dq_velocity_map, when given, overrides the finite-difference evaluation of
     D_q [W(q) qd] used inside closed-form saltation matrices; it receives
     (tag, q, qd) where tag names the velocity map being differentiated.
+
+    A model memoizes the KKT blocks of the last few distinct (M, J) pairs it
+    met (see _kkt_blocks); that memo is its only state.
     """
 
     m: int
@@ -84,6 +89,7 @@ class RigidBodyModel:
     mu_s: float = 0.0
     mu_k: float = 0.0
     dq_velocity_map: Optional[Callable[[str, np.ndarray, np.ndarray], np.ndarray]] = None
+    _kkt_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -138,7 +144,10 @@ class DaggerBlocks:
 
 
 def dagger_blocks(M: np.ndarray, J: np.ndarray) -> DaggerBlocks:
-    """Invert the contact KKT system for mass matrix M and constraint rows J."""
+    """Invert the contact KKT system for mass matrix M and constraint rows J.
+
+    Every call factors anew and returns arrays that belong to the caller.
+    """
     M = np.asarray(M, dtype=float)
     J = np.atleast_2d(np.asarray(J, dtype=float))
     m = M.shape[0]
@@ -167,9 +176,29 @@ def dagger_blocks(M: np.ndarray, J: np.ndarray) -> DaggerBlocks:
     return DaggerBlocks(m_dag=m_dag, j_dag=j_dag, lam_dag=-lam)
 
 
+def _kkt_blocks(model: RigidBodyModel, M: np.ndarray, J: np.ndarray) -> DaggerBlocks:
+    """dagger_blocks(M, J) for float arrays M and J, reused from the model's
+    memo while both repeat byte-for-byte, so the blocks are the ones computed
+    from identical floats. The memo keeps the _KKT_MEMO_SIZE most recently used
+    pairs, enough for the S and C rows of one model; a model whose M or J
+    moves with q misses on every call. A failure is not stored, so it is
+    raised again on every call. The stored arrays are read-only."""
+    key = (M.shape, J.shape, M.tobytes(), J.tobytes())
+    memo = model._kkt_memo
+    blocks = memo.pop(key, None)
+    if blocks is None:
+        blocks = dagger_blocks(M, J)
+        for a in (blocks.m_dag, blocks.j_dag, blocks.lam_dag):
+            a.setflags(write=False)
+        if len(memo) >= _KKT_MEMO_SIZE:
+            del memo[next(iter(memo))]
+    memo[key] = blocks  # last in order; the first key is the least recently used
+    return blocks
+
+
 def _jdot(jfun: Callable[[np.ndarray], np.ndarray], q: np.ndarray, qd: np.ndarray) -> np.ndarray:
     """Time derivative of a contact Jacobian along qd, by directional difference."""
-    return fd.directional_matrix_derivative(lambda qq: np.atleast_2d(np.asarray(jfun(qq), dtype=float)), q, qd)
+    return np.atleast_2d(fd.directional_matrix_derivative(jfun, q, qd))
 
 
 def _constraint_rows(model: RigidBodyModel, mode: ContactMode, q: np.ndarray) -> np.ndarray:
@@ -179,13 +208,13 @@ def _constraint_rows(model: RigidBodyModel, mode: ContactMode, q: np.ndarray) ->
     return np.vstack([model.jn(q), model.jt(q)])
 
 
-def _constraint_jdot(model: RigidBodyModel, mode: ContactMode, q: np.ndarray,
+def _constraint_jdot(model: RigidBodyModel, rows: np.ndarray, q: np.ndarray,
                      qd: np.ndarray) -> np.ndarray:
-    """Time derivative of _constraint_rows along qd."""
-    rows = [_jdot(model.J_n, q, qd)]
-    if mode is ContactMode.C and model.jt(q).shape[0]:
-        rows.append(_jdot(model.J_t, q, qd))
-    return np.vstack(rows)
+    """Time derivative along qd of `rows`, as returned by _constraint_rows."""
+    jdot_n = _jdot(model.J_n, q, qd)
+    if rows.shape[0] == 1:
+        return jdot_n
+    return np.vstack([jdot_n, _jdot(model.J_t, q, qd)])
 
 
 def _slide_sign(v_t: float, slide_direction: Optional[float], floor: float) -> float:
@@ -242,8 +271,9 @@ def _contact_solve(model: RigidBodyModel, mode: ContactMode, t: float, x: np.nda
         # acceleration already satisfies the normal constraint by construction
         return np.concatenate([qd, np.linalg.solve(M, tau_c)])
 
-    blocks = dagger_blocks(M, _constraint_rows(model, mode, q))
-    jdot_qd = _constraint_jdot(model, mode, q, qd) @ qd
+    rows = _constraint_rows(model, mode, q)
+    blocks = _kkt_blocks(model, M, rows)
+    jdot_qd = _constraint_jdot(model, rows, q, qd) @ qd
     if forces:
         return -(blocks.j_dag @ tau - blocks.lam_dag @ jdot_qd)
     return np.concatenate([qd, blocks.m_dag @ tau - blocks.j_dag.T @ jdot_qd])
@@ -285,7 +315,7 @@ def _impact_blocks(model: RigidBodyModel, target_mode: ContactMode,
         J, e = model.jn(q), model.e
     else:
         J, e = _constraint_rows(model, target_mode, q), 0.0
-    return M, J, e, dagger_blocks(M, J)
+    return M, J, e, _kkt_blocks(model, M, J)
 
 
 def impact_impulse(model: RigidBodyModel, target_mode: ModeLike, t: float,
@@ -591,7 +621,7 @@ def _impact_saltation(model: RigidBodyModel, dst: ContactMode, t: float,
             # normal-force solve, not from the frictionless projection
             vec = f_plus[m:] - W @ f_minus[m:] - dq_w @ qd
         else:
-            jdot_plus = _constraint_jdot(model, dst, q, qd_plus)
+            jdot_plus = _constraint_jdot(model, J, q, qd_plus)
             vec = (blocks.m_dag @ (C_minus @ qd - C_plus @ qd_plus)
                    - blocks.j_dag.T @ (jdot_plus @ qd_plus) - dq_w @ qd)
         z = np.outer(vec, row)

@@ -253,6 +253,24 @@ def test_input_schema_violations_exit_code(argv):
     assert "error:" in err
 
 
+_FLOW = ["--model", "constant-flow", "--x0", "0,1", "--t", "1"]
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--x0", ["simulate", "--model", "bouncing-ball", "--x0", "a,b", "--t", "0.6"]),
+    ("--sigma0", ["covariance", "--model", "bouncing-ball", "--x0", "1,0", "--t", "0.6",
+                  "--sigma0", "1,x"]),
+    ("--f-i", ["simulate", *_FLOW, "--f-i", "1,a", "--f-j", "1,0", "--guard-normal", "1,0"]),
+    ("--f-j", ["simulate", *_FLOW, "--f-i", "1,0", "--f-j", "1,a", "--guard-normal", "1,0"]),
+    ("--guard-normal", ["simulate", *_FLOW, "--f-i", "1,0", "--f-j", "1,0",
+                        "--guard-normal", "1,a"]),
+])
+def test_malformed_vector_option_is_named(option, argv):
+    code, _, err = _run(argv)
+    assert code == 5
+    assert f"error: {option}: expected comma-separated numbers" in err
+
+
 def test_schema_violation_in_model_file(tmp_path):
     doc = _matching_fields_doc()
     doc["format"] = "nope"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import saltlib as sl
+from saltlib import rigidbody
 from saltlib.errors import SingularConstraint, SlidingSingularity, TangentialEvent
 from saltlib.rigidbody import ContactMode, mode_tags
 
@@ -70,6 +71,98 @@ def test_dagger_blocks_reject_degenerate_inputs():
         sl.dagger_blocks(np.zeros((2, 2)), np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
         sl.dagger_blocks(np.eye(2), np.array([[1.0, 0.0, 0.0]]))
+
+
+def _curved_model():
+    """Frictionless point above the parabola q1 = 0.1 q0^2 whose mass matrix
+    diag(1 + q0^2, 1 + q1^2), contact normal and tangent move with q:
+    q0 -> -q0 changes the contact rows alone, a change of q1 the mass alone."""
+    return sl.RigidBodyModel(
+        m=2,
+        mass=lambda q: np.diag([1.0 + q[0] ** 2, 1.0 + q[1] ** 2]),
+        coriolis=lambda q, qd: np.zeros((2, 2)),
+        nonlin=lambda q, qd: np.array([0.0, G]),
+        input=lambda t, q, qd: np.zeros(2),
+        g_n=lambda t, q: q[1] - 0.1 * q[0] ** 2,
+        J_n=lambda q: np.array([[-0.2 * q[0], 1.0]]),
+        J_t=lambda q: np.array([[1.0, 0.2 * q[0]]]),
+    )
+
+
+def _saltation_arrays(res):
+    return np.concatenate([res.xi.ravel(), res.dxr.ravel(), res.f_plus])
+
+
+# every public entry point that inverts the contact KKT system, S rows and C rows
+_KKT_CALLS = [
+    lambda model, x: sl.mode_dynamics(model, "S", 0.0, x),
+    lambda model, x: sl.mode_dynamics(model, "C", 0.0, x),
+    lambda model, x: sl.constraint_forces(model, "S", 0.0, x),
+    lambda model, x: sl.constraint_forces(model, "C", 0.0, x),
+    lambda model, x: sl.impact_reset(model, "S", 0.0, x),
+    lambda model, x: sl.impact_reset(model, "C", 0.0, x),
+    lambda model, x: sl.impact_impulse(model, "C", 0.0, x),
+    lambda model, x: _saltation_arrays(sl.closed_form_saltation(model, ("U", "S"), 0.0, x)),
+    lambda model, x: _saltation_arrays(sl.closed_form_saltation(model, ("U", "C"), 0.0, x)),
+]
+
+
+def test_kkt_memo_never_serves_blocks_of_another_state():
+    # three states approaching the surface: the second shares the first's
+    # mass matrix, the third its contact rows; on one model, alternating
+    # states call by call, every result equals bit for bit that of a model
+    # with a cold memo
+    states = [np.array([0.5, 0.0, 0.3, -1.0]), np.array([-0.5, 0.0, 0.3, -1.0]),
+              np.array([0.5, 0.7, 0.3, -1.0])]
+    warm = _curved_model()
+    for call in _KKT_CALLS:
+        cold = [call(_curved_model(), x) for x in states]
+        for k in (0, 1, 2, 0, 2, 1):
+            assert call(warm, states[k]).tobytes() == cold[k].tobytes()
+    assert len(warm._kkt_memo) == rigidbody._KKT_MEMO_SIZE  # bounded
+
+
+def test_singular_constraint_is_raised_on_every_call():
+    # J_t parallel to J_n: the two stick rows have rank one
+    model = dataclasses.replace(_incline_model(0.0, mu=0.0), J_t=lambda q: np.array([[0.0, 2.0]]))
+    x = np.array([0.3, 0.0, 0.5, -1.0])
+    sl.mode_dynamics(model, "S", 0.0, x)  # the normal row alone is fine
+    for _ in range(3):
+        for call in (sl.mode_dynamics, sl.constraint_forces, sl.impact_reset):
+            with pytest.raises(SingularConstraint):
+                call(model, "C", 0.0, x)
+
+
+def test_public_dagger_blocks_do_not_share_the_memo():
+    model, _ = sl.ball_drop(sl.BallDropParams(theta=0.3, friction="infinite-stick"))
+    x = _on_surface_state(0.3, [0.4, 0.0])
+    q = x[:2]
+    before = sl.mode_dynamics(model, "C", 0.0, x)
+    M, J = model.mass(q), np.vstack([model.jn(q), model.jt(q)])
+    blocks = sl.dagger_blocks(M, J)
+    for a in (blocks.m_dag, blocks.j_dag, blocks.lam_dag):
+        a[...] = 7.0
+    assert sl.mode_dynamics(model, "C", 0.0, x).tobytes() == before.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        rigidbody._kkt_blocks(model, M, J).m_dag[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("friction, landing", [("frictionless-slide", "U->S"),
+                                               ("infinite-stick", "U->C")])
+def test_constant_contact_matrices_are_factored_a_few_times(monkeypatch, friction, landing):
+    # M, J_n and J_t of the ball drop do not move with q, so a 0.6 s contact
+    # run and its fundamental matrix need each KKT factorization only once
+    # (without reuse: 8 619)
+    model, _ = sl.ball_drop(sl.BallDropParams(theta=0.3, friction=friction))
+    sys_ = sl.build_hybrid_system(model)
+    factor = rigidbody.dagger_blocks
+    shapes = []
+    monkeypatch.setattr(rigidbody, "dagger_blocks",
+                        lambda M, J: shapes.append(J.shape) or factor(M, J))
+    traj = sl.simulate(sys_, 0, np.array([0.05, 0.8, 0.1, -0.2]), (0.0, 0.6))
+    assert [sys_.transition_names[ev.transition_index] for ev in traj.events] == [landing]
+    sl.fundamental_matrix(sys_, traj)
+    assert 1 <= len(shapes) <= 3
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, np.pi / 4])
