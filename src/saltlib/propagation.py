@@ -2,15 +2,21 @@
 
 Within a mode the variational equation dM/dt = D_x f(t, x(t)) M is integrated
 jointly with the state by RK4. Across events the saltation matrix applies.
-A trajectory is linearized once, on its own sample grid: one flow matrix per
+A trajectory is linearized on its own sample grid: one flow matrix per
 sample interval (subdivided only where an interval is wider than `step`) and
 one saltation matrix per event. Fundamental and monodromy matrices,
 covariance push-forwards and the backward Riccati pass are folds over that
-one linearization.
+linearization, and they share it: `_linearize` keeps the most recent one (one
+entry in total), keyed by the system's identity, `step` and the content of
+the trajectory. Folds run in turn on one (system, trajectory, step) therefore
+integrate each sample interval once between them, and each sees the matrices
+it would have computed alone, bit for bit. This rests on the system's
+callables being pure functions of (t, x).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -78,17 +84,50 @@ def variational_flow(sys: HybridSystem, mode: ModeId, t0: float, x0: np.ndarray,
     return M
 
 
-def _linearize(sys: HybridSystem, traj: HybridTrajectory,
-               step: float) -> tuple[list[list[np.ndarray]], list[np.ndarray]]:
+_Linearization = tuple[tuple[tuple[np.ndarray, ...], ...], tuple[np.ndarray, ...]]
+
+# (weak reference to the system, content key, linearization) of the last miss
+_memo: Optional[tuple[weakref.ref, tuple, _Linearization]] = None
+
+
+def _content(a) -> tuple:
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _linearize(sys: HybridSystem, traj: HybridTrajectory, step: float) -> _Linearization:
     """One pass over a trajectory in order: per segment, the flow matrix of
-    every sample interval on the trajectory's own grid; per event, its Xi."""
-    flows = [
-        [variational_flow(sys, seg.mode, float(seg.times[i]), seg.states[i],
-                          float(seg.times[i + 1]), step)
-         for i in range(seg.times.size - 1)]
+    every sample interval on the trajectory's own grid; per event, its Xi.
+
+    The most recent result is kept, one in total, and returned again while
+    the system is the same object and `step` and everything read from the
+    trajectory (each segment's mode, times and states, each event's
+    transition index, time and states) repeat in dtype, shape and bytes. The
+    system is held only through a weak reference. The stored arrays are
+    read-only. A failure is not stored, so it is raised again on every call.
+    """
+    global _memo
+    key = (
+        step,
+        tuple((seg.mode, _content(seg.times), _content(seg.states)) for seg in traj.segments),
+        tuple((ev.transition_index, _content(ev.t_event), _content(ev.x_minus),
+               _content(ev.x_plus)) for ev in traj.events),
+    )
+    memo = _memo
+    if memo is not None and memo[0]() is sys and memo[1] == key:
+        return memo[2]
+    _memo = None  # dropped first, so a miss never keeps two linearizations alive
+    flows = tuple(
+        tuple(variational_flow(sys, seg.mode, float(seg.times[i]), seg.states[i],
+                               float(seg.times[i + 1]), step)
+              for i in range(seg.times.size - 1))
         for seg in traj.segments
-    ]
-    return flows, [saltation_matrix(sys, ev).xi for ev in traj.events]
+    )
+    xis = tuple(saltation_matrix(sys, ev).xi for ev in traj.events)
+    for a in (*(A for seg_flows in flows for A in seg_flows), *xis):
+        a.setflags(write=False)
+    _memo = (weakref.ref(sys), key, (flows, xis))
+    return flows, xis
 
 
 @dataclass(frozen=True)
@@ -194,6 +233,13 @@ def _check_sym_psd(mat: np.ndarray, label: str) -> None:
         raise ValueError(f"{label} min eigenvalue {min_eig:.3e} below -{PSD_TOL}*scale")
 
 
+def _require_square(mat: np.ndarray, name: str, sys: HybridSystem, mode: ModeId) -> None:
+    n = sys.dim(mode)
+    if mat.shape != (n, n):
+        raise ValueError(f"{name} has shape {mat.shape}, expected ({n}, {n}) "
+                         f"for mode {sys.mode_label(mode)}")
+
+
 @dataclass(frozen=True)
 class CovarianceState:
     """Symmetric PSD second moment attached to a trajectory sample."""
@@ -222,8 +268,10 @@ def propagate_covariance(sys: HybridSystem, traj: HybridTrajectory,
                          sigma0: np.ndarray, step: float = DEFAULT_STEP) -> list[CovarianceState]:
     """Push a covariance along a trajectory: A Sigma A^T in segments,
     Xi Sigma Xi^T at events. One output per trajectory sample."""
+    sigma = np.asarray(sigma0, dtype=float)
+    _require_square(sigma, "sigma0", sys, traj.segments[0].mode)
     flows, xis = _linearize(sys, traj, step)
-    sigma = _sym(np.asarray(sigma0, dtype=float))
+    sigma = _sym(sigma)
     out: list[CovarianceState] = []
     for k, (seg, seg_flows) in enumerate(zip(traj.segments, flows)):
         if k > 0:
@@ -308,9 +356,11 @@ def hybrid_lqr_backward(
     end exactly at event times this realizes the smooth-jump-smooth sandwich.
     """
     q_fn, v_fn, b_fn = _as_matrix_fn(Q), _as_matrix_fn(V), _as_matrix_fn(B)
+    p = np.asarray(P_terminal, dtype=float)
+    _require_square(p, "P_terminal", sys, traj.segments[-1].mode)
     flows, xis = _linearize(sys, traj, step)
 
-    p = _sym(np.asarray(P_terminal, dtype=float))
+    p = _sym(p)
     values_rev: list[np.ndarray] = [p.copy()]
     gains_rev: list[np.ndarray] = []
     gain_times_rev: list[float] = []

@@ -1,13 +1,16 @@
 """Variational flows, monodromy, covariance push-forward, Riccati recursions."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import saltlib as sl
-from saltlib.errors import NotPeriodic, SingularInputPenalty
+from saltlib import propagation
+from saltlib.errors import NonFiniteState, NotPeriodic, SingularInputPenalty, TangentialEvent
 from saltlib.propagation import ValueState
 
 G = 9.81
@@ -75,31 +78,191 @@ def test_fundamental_matrix_matches_finite_difference_flow_jacobian():
     assert float(np.abs(fd_jac - phi).max()) <= 1e-4 * max(1.0, float(np.abs(phi).max()))
 
 
-@pytest.mark.parametrize("t0", [0.0, 1e4])
-def test_linearization_takes_one_rk4_step_per_sample_interval(t0):
-    # fundamental, covariance and LQR share one linearization on the
-    # simulated grid: 4 Jacobian calls (one RK4 step) per sample interval
-    base = sl.bouncing_ball(e=0.5)
-    field = base.modes[0]
+def _counted(base):
+    """base with every mode's Jacobian appending its time to the returned list."""
     calls = []
 
-    def counted_jac(t, x):
-        calls.append(t)
-        return field.jac_x(t, x)
+    def counting(field):
+        def jac(t, x):
+            calls.append(t)
+            return field.jacobian(t, x)
+        return dataclasses.replace(field, jac_x=jac)
 
-    sys_ = dataclasses.replace(base, modes=(dataclasses.replace(field, jac_x=counted_jac),))
+    return dataclasses.replace(base, modes=tuple(counting(m) for m in base.modes)), calls
+
+
+def _intervals(traj):
+    return sum(seg.times.size - 1 for seg in traj.segments)
+
+
+def _three_folds(sys_, traj, cold=False):
+    """Fundamental, covariance and LQR in turn, with identity weights and
+    inputs on the second half of the state. With cold, each fold runs on its
+    own copy of the system, so none reuses another's linearization."""
+    fresh = (lambda: dataclasses.replace(sys_)) if cold else (lambda: sys_)
+    n0, n1 = sys_.dim(traj.segments[0].mode), sys_.dim(traj.segments[-1].mode)
+    B = np.zeros((n1, n1 // 2))
+    B[n1 // 2:] = np.eye(n1 // 2)
+    return (sl.fundamental_matrix(fresh(), traj),
+            sl.propagate_covariance(fresh(), traj, 1e-4 * np.eye(n0)),
+            sl.hybrid_lqr_backward(fresh(), traj, np.eye(n1), np.eye(n1 // 2), B, np.eye(n1)))
+
+
+@pytest.mark.parametrize("t0", [0.0, 1e4])
+def test_linearization_takes_one_rk4_step_per_sample_interval(t0):
+    # each fold alone takes one RK4 step (4 Jacobian calls) per sample
+    # interval of the simulated grid, and the three folds in turn on one
+    # system share one linearization
+    sys_, calls = _counted(sl.bouncing_ball(e=0.5))
     traj = sl.simulate(sys_, 0, np.array([1.0, 0.0]), (t0, t0 + 0.6))
-    intervals = sum(seg.times.size - 1 for seg in traj.segments)
+    intervals = _intervals(traj)
     folds = (
-        lambda: sl.fundamental_matrix(sys_, traj),
-        lambda: sl.propagate_covariance(sys_, traj, 1e-4 * np.eye(2)),
-        lambda: sl.hybrid_lqr_backward(sys_, traj, np.eye(2), np.eye(1),
-                                       np.array([[0.0], [1.0]]), np.eye(2)),
+        lambda s: sl.fundamental_matrix(s, traj),
+        lambda s: sl.propagate_covariance(s, traj, 1e-4 * np.eye(2)),
+        lambda s: sl.hybrid_lqr_backward(s, traj, np.eye(2), np.eye(1),
+                                         np.array([[0.0], [1.0]]), np.eye(2)),
     )
     for fold in folds:
         calls.clear()
-        fold()
+        fold(dataclasses.replace(sys_))  # another system: a cold memo
         assert len(calls) == 4 * intervals
+    calls.clear()
+    for fold in folds:
+        fold(sys_)
+    assert len(calls) == 4 * intervals
+
+
+def _bounce_traj():
+    sys_, calls = _counted(sl.bouncing_ball(e=0.5))
+    return sys_, calls, sl.simulate(sys_, 0, np.array([1.0, 0.0]), (0.0, 0.6))
+
+
+def test_linearization_memo_misses_on_edited_states_step_and_system():
+    sys_, calls, traj = _bounce_traj()
+    intervals = _intervals(traj)
+    sl.fundamental_matrix(sys_, traj)
+    calls.clear()
+    sl.fundamental_matrix(sys_, traj)
+    assert calls == []
+
+    traj.segments[0].states[3, 1] += 1e-3
+    sl.fundamental_matrix(sys_, traj)
+    assert len(calls) == 4 * intervals
+
+    calls.clear()
+    sl.fundamental_matrix(sys_, traj, step=2e-3)
+    assert len(calls) == 4 * intervals
+
+    calls.clear()
+    phi = sl.fundamental_matrix(sys_, traj).phi
+    other = sl.fundamental_matrix(dataclasses.replace(sys_), traj).phi
+    assert len(calls) == 2 * 4 * intervals
+    assert np.array_equal(phi, other)
+
+
+def test_linearization_memo_holds_one_entry_and_returns_equal_results():
+    sys_, calls, traj_a = _bounce_traj()
+    traj_b = sl.simulate(sys_, 0, np.array([0.7, 0.5]), (0.0, 0.6))
+    first = _three_folds(sys_, traj_a)
+    _three_folds(sys_, traj_b)
+    calls.clear()
+    again = _three_folds(sys_, traj_a)
+    assert len(calls) == 4 * _intervals(traj_a)
+    _assert_folds_equal(first, again)
+
+
+def test_linearization_failure_is_raised_on_every_call():
+    # a non-finite Jacobian on the way, then a tangential event record
+    base = sl.bouncing_ball(e=0.5)
+    field = base.modes[0]
+    sys_nan = dataclasses.replace(base, modes=(dataclasses.replace(
+        field, jac_x=lambda t, x: np.full((2, 2), np.nan)),))
+    traj = sl.simulate(sys_nan, 0, np.array([1.0, 0.0]), (0.0, 0.6))
+    for _ in range(2):
+        with pytest.raises(NonFiniteState):
+            sl.fundamental_matrix(sys_nan, traj)
+
+    sys_, calls, traj = _bounce_traj()
+    sl.fundamental_matrix(sys_, traj)
+    grazing = dataclasses.replace(traj, events=(dataclasses.replace(
+        traj.events[0], x_minus=np.zeros(2), x_plus=np.zeros(2)),))
+    for _ in range(2):
+        calls.clear()
+        with pytest.raises(TangentialEvent):
+            sl.fundamental_matrix(sys_, grazing)
+        assert len(calls) == 4 * _intervals(grazing)
+
+
+def test_linearization_memo_arrays_are_read_only():
+    sys_, _, traj = _bounce_traj()
+    flows, xis = propagation._linearize(sys_, traj, 1e-3)
+    for a in (flows[0][0], flows[-1][-1], xis[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+    # fold outputs are fresh arrays
+    sl.fundamental_matrix(sys_, traj).phi[0, 0] = 1.0
+
+
+def test_linearization_memo_does_not_keep_the_system_alive():
+    sys_, _, traj = _bounce_traj()
+    sl.fundamental_matrix(sys_, traj)
+    alive = weakref.ref(sys_)
+    del sys_
+    gc.collect()
+    assert alive() is None
+
+
+def _assert_folds_equal(a, b):
+    fund_a, cov_a, lqr_a = a
+    fund_b, cov_b, lqr_b = b
+    assert np.array_equal(fund_a.phi, fund_b.phi)
+    assert len(cov_a) == len(cov_b)
+    assert all(np.array_equal(x.sigma, y.sigma) for x, y in zip(cov_a, cov_b))
+    for name in ("gains", "values"):
+        xs, ys = getattr(lqr_a, name), getattr(lqr_b, name)
+        assert len(xs) == len(ys)
+        assert all(np.array_equal(x, y) for x, y in zip(xs, ys))
+
+
+def _memo_systems():
+    p = sl.BallDropParams(theta=0.3)
+    model, slide = sl.ball_drop(p)
+    _, stick = sl.ball_drop(dataclasses.replace(p, friction="infinite-stick"))
+    switch = sl.HybridSystem(
+        modes=(sl.affine_field(np.array([[0.0, 1.0], [-2.0, -0.3]]), np.array([0.0, 0.6])),
+               sl.affine_field(np.array([[0.0, 1.0], [-1.0, -0.9]]), np.zeros(2))),
+        transitions=(sl.TransitionSpec(0, 1, sl.linear_guard(np.array([1.0, 0.0]), offset=0.1),
+                                       sl.identity_reset(2)),),
+    )
+    drop = np.array([0.0, 0.5, 0.3, 0.0])
+    return {
+        "slide": (slide, drop, 0.6),
+        "stick": (stick, drop, 0.6),
+        "bounce": (sl.bouncing_ball(e=0.5), np.array([0.3, 0.0]), 0.6),
+        "switch": (switch, np.array([1.0, -0.2]), 2.2),
+        "generic": (sl.build_hybrid_system(model), drop, 0.4),
+    }
+
+
+@pytest.mark.parametrize("kind", ["slide", "stick", "bounce", "switch", "generic"])
+def test_warm_folds_equal_cold_folds_bit_for_bit(kind):
+    sys_, x0, span = _memo_systems()[kind]
+    traj = sl.simulate(sys_, 0, x0, (0.0, span))
+    assert traj.events
+    _assert_folds_equal(_three_folds(sys_, traj, cold=True), _three_folds(sys_, traj))
+
+
+def test_fold_shapes_are_checked_before_linearizing():
+    _, drop = sl.ball_drop(sl.BallDropParams(theta=0.3))
+    sys_, calls = _counted(drop)
+    traj = sl.simulate(sys_, 0, np.array([0.0, 0.5, 0.3, 0.0]), (0.0, 0.6))
+    calls.clear()
+    with pytest.raises(ValueError, match=r"sigma0 has shape \(3, 3\), expected \(4, 4\)"):
+        sl.propagate_covariance(sys_, traj, np.eye(3))
+    B = np.zeros((4, 2))
+    with pytest.raises(ValueError, match=r"P_terminal has shape \(3, 3\), expected \(4, 4\)"):
+        sl.hybrid_lqr_backward(sys_, traj, np.eye(4), np.eye(2), B, np.eye(3))
+    assert calls == []
 
 
 def test_monodromy_circle_orbit_is_marginal():
