@@ -146,11 +146,14 @@ def _add_common_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--mode0", default="0", help="initial mode index or name")
     sp.add_argument("--step", type=float, default=DEFAULT_STEP)
     sp.add_argument("--max-events", type=int, default=1000, dest="max_events")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--output", help="write to this path (atomic); default stdout")
-    sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.add_argument("--threads", type=int, default=None,
                     help="validated only: a positive integer (also via SALTLIB_THREADS)")
+
+
+def _check_mc_samples(n: int) -> None:
+    if n < 2:
+        raise SchemaError("mc_samples", f"a sample covariance needs at least 2 samples, got {n}")
 
 
 def _validate_threads(args) -> None:
@@ -407,6 +410,7 @@ def cmd_covariance(args) -> int:
     mode0 = _resolve_mode(sys_, args.mode0)
     x0 = _require_x0(args)
     sigma0 = _parse_sigma(args.sigma0, x0.size)
+    _check_mc_samples(args.mc_samples)
     opts = _options(args)
     traj = simulate(sys_, mode0, x0, (args.t0, _require_t(args)), opts)
     states = propagate_covariance(sys_, traj, sigma0, step=args.step)
@@ -421,14 +425,15 @@ def cmd_covariance(args) -> int:
         ref = states[-1].sigma
         denom = float(np.linalg.norm(ref))
         frob = float(np.linalg.norm(sigma_mc - ref)) / (denom if denom > 0.0 else 1.0)
+        passed = frob <= args.mc_rtol
         mc_doc = {
             "sigma": sigma_mc,
             "frobenius_rel_err": frob,
             "n_samples": args.mc_samples,
             "seed": args.seed,
-            "pass": frob <= args.mc_rtol,
+            "pass": passed,
         }
-        if frob > args.mc_rtol:
+        if not passed:
             exit_code = EXIT_ORACLE
 
     if args.format == "csv":
@@ -638,6 +643,7 @@ def _verify_checks(seed: int, mc_samples: int, step: float) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
+    _check_mc_samples(args.mc_samples)
     checks = _verify_checks(args.seed, args.mc_samples, args.step)
     doc = {
         "seed": args.seed,
@@ -657,6 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="run a hybrid execution")
     _add_model_args(sp)
     _add_common_args(sp)
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("saltation", help="saltation matrix at an event")
@@ -682,6 +689,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("covariance", help="propagate a covariance along a run")
     _add_model_args(sp)
     _add_common_args(sp)
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--sigma0", default="1e-6", help="scalar, diagonal, or full matrix")
     sp.add_argument("--mc-check", action="store_true", dest="mc_check",
                     help="cross-check the final covariance against Monte Carlo")

@@ -19,32 +19,20 @@ def _steps(x: np.ndarray) -> np.ndarray:
 
 
 def jac_x(f: Callable[[float, np.ndarray], np.ndarray], t: float, x: np.ndarray) -> np.ndarray:
-    """Jacobian of f(t, x) in x; shape (len(f), len(x))."""
-    x = np.asarray(x, dtype=float)
-    h = _steps(x)
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h[i]
-        cols.append((np.asarray(f(t, x + e), dtype=float) - np.asarray(f(t, x - e), dtype=float)) / (2.0 * h[i]))
-    return np.stack(cols, axis=-1)
+    """Jacobian of f(t, x) in x; shape (len(f), len(x)), or (len(x),) for a scalar f.
 
-
-def grad_x(g: Callable[[float, np.ndarray], float], t: float, x: np.ndarray) -> np.ndarray:
-    """Row gradient of scalar g(t, x) in x; shape (len(x),).
-
-    For a stack of rows x (N, n) and a g that broadcasts over it, one
+    For a stack of rows x (N, n) and a scalar f that broadcasts over it, one
     gradient per row, shape (N, n).
     """
     x = np.asarray(x, dtype=float)
     h = _steps(x)
-    out = np.empty_like(x)
-    value = float if x.ndim == 1 else (lambda v: np.asarray(v, dtype=float))
+    cols = []
     for i in range(x.shape[-1]):
         e = np.zeros_like(x)
         e[..., i] = h[..., i]
-        out[..., i] = (value(g(t, x + e)) - value(g(t, x - e))) / (2.0 * h[..., i])
-    return out
+        cols.append((np.asarray(f(t, x + e), dtype=float) - np.asarray(f(t, x - e), dtype=float))
+                    / (2.0 * h[..., i]))
+    return np.stack(cols, axis=-1)
 
 
 def diff_t(f: Callable[[float, np.ndarray], np.ndarray], t: float, x: np.ndarray):

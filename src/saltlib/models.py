@@ -17,7 +17,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import fd
 from .errors import SchemaError
 from .rigidbody import ContactMode, RigidBodyModel
 from .system import (
@@ -158,14 +157,16 @@ def _ball_drop_system(p: BallDropParams) -> HybridSystem:
         out[..., 3] = _eval_input(p.u2, t, x) / m - a_g
         return out
 
-    # d(q, qd)/dt = (qd, a) with a independent of the state unless an input is set
+    # d(q, qd)/dt = (qd, a) with a independent of the state unless an input is
+    # set; with an input, finite differences of the field give its Jacobian
     kinematic_jac = np.zeros((4, 4))
     kinematic_jac[0, 2] = 1.0
     kinematic_jac[1, 3] = 1.0
-    forced = p.u1 is not None or p.u2 is not None
 
-    def free_jac(t, x):
-        return fd.jac_x(free_field, t, x) if forced else kinematic_jac
+    def kinematic(t, x):
+        return kinematic_jac
+
+    field_jac = kinematic if p.u1 is None and p.u2 is None else None
 
     def slide_field(t, x):
         x = np.asarray(x, dtype=float)
@@ -177,9 +178,6 @@ def _ball_drop_system(p: BallDropParams) -> HybridSystem:
         out[..., 2] = (c * c * u1 - s * c * u2) / m + a_g * s * c
         out[..., 3] = (-s * c * u1 + s * s * u2) / m - a_g * s * s
         return out
-
-    def slide_jac(t, x):
-        return fd.jac_x(slide_field, t, x) if forced else kinematic_jac
 
     def stick_field(t, x):
         x = np.asarray(x, dtype=float)
@@ -199,9 +197,9 @@ def _ball_drop_system(p: BallDropParams) -> HybridSystem:
     liftoff_guard = GuardSpec(g=normal_force)
 
     dim = 4
-    free = VectorFieldSpec(dim=dim, f=free_field, jac_x=free_jac)
-    slide = VectorFieldSpec(dim=dim, f=slide_field, jac_x=slide_jac)
-    stick = VectorFieldSpec(dim=dim, f=stick_field, jac_x=lambda t, x: kinematic_jac)
+    free = VectorFieldSpec(dim=dim, f=free_field, jac_x=field_jac)
+    slide = VectorFieldSpec(dim=dim, f=slide_field, jac_x=field_jac)
+    stick = VectorFieldSpec(dim=dim, f=stick_field, jac_x=kinematic)
 
     def blockdiag_reset(vel_block: np.ndarray) -> ResetSpec:
         mat = np.zeros((4, 4))

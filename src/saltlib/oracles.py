@@ -177,22 +177,6 @@ def _psd_sqrt(sigma: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(vals)
 
 
-def _batch_rollout(sys: HybridSystem, mode0: ModeId, X0: np.ndarray, t0: float,
-                   t_final: float, opts: SimOptions) -> tuple[np.ndarray, np.ndarray]:
-    """Roll a batch of samples through the simulation engine at once.
-
-    This is the engine's N-row case: every row follows simulate()'s grid,
-    arming, bisection and error rules on its own, so a row's result does
-    not depend on its batch mates whenever the callables act on each row
-    elementwise. Fields, guards, guard derivatives and resets must broadcast
-    over a leading row axis; time reaches them as a float while the rows
-    share one, and as an array of per-row times otherwise.
-
-    Returns (final states (N, n), event-sequence codes (N,)).
-    """
-    return _rollout(_STACK, sys, mode0, float(t0), np.asarray(X0, dtype=float), float(t_final), opts)
-
-
 def monte_carlo_covariance(
     sys: HybridSystem,
     mode0: ModeId,
@@ -214,8 +198,11 @@ def monte_carlo_covariance(
 
     Raises SplitDistribution when more than split_tol of the samples execute
     a different event sequence than the mean trajectory does: a covariance
-    summary is not meaningful across diverging branches.
+    summary is not meaningful across diverging branches. Raises ValueError
+    for fewer than 2 samples, which have no sample covariance.
     """
+    if n_samples < 2:
+        raise ValueError(f"a sample covariance needs n_samples >= 2, got {n_samples}")
     opts = options or SimOptions()
     mean0 = np.asarray(mean0, dtype=float)
     n = mean0.size

@@ -1,7 +1,9 @@
 """Propagation of linearizations, covariances, and quadratic values.
 
 Within a mode the variational equation dM/dt = D_x f(t, x(t)) M is integrated
-jointly with the state by RK4. Across events the saltation matrix applies.
+jointly with the state: `simulate.rk4_step` on the augmented state
+z = (x, vec M) with z' = (f(t, x), D_x f(t, x) M). Across events the saltation
+matrix applies.
 A trajectory is linearized on its own sample grid: one flow matrix per
 sample interval (subdivided only where an interval is wider than `step`) and
 one saltation matrix per event. Fundamental and monodromy matrices,
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import NonFiniteState, NotPeriodic, SingularInputPenalty
 from .saltation import SaltationResult, saltation_matrix
-from .simulate import DEFAULT_STEP, _substeps
+from .simulate import DEFAULT_STEP, _substeps, rk4_step
 from .system import HybridSystem, ModeId
 from .trajectory import HybridTrajectory
 
@@ -38,50 +40,29 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _joint_rk4_step(f, jac, t, x, M, h):
-    """One RK4 step of the state and its variational matrix together."""
-    a1 = jac(t, x)
-    k1x = f(t, x)
-    k1m = a1 @ M
-
-    x2 = x + (0.5 * h) * k1x
-    a2 = jac(t + 0.5 * h, x2)
-    k2x = f(t + 0.5 * h, x2)
-    k2m = a2 @ (M + (0.5 * h) * k1m)
-
-    x3 = x + (0.5 * h) * k2x
-    a3 = jac(t + 0.5 * h, x3)
-    k3x = f(t + 0.5 * h, x3)
-    k3m = a3 @ (M + (0.5 * h) * k2m)
-
-    x4 = x + h * k3x
-    a4 = jac(t + h, x4)
-    k4x = f(t + h, x4)
-    k4m = a4 @ (M + h * k3m)
-
-    x_new = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    m_new = M + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-    return x_new, m_new
-
-
 def variational_flow(sys: HybridSystem, mode: ModeId, t0: float, x0: np.ndarray,
                      t1: float, step: float = DEFAULT_STEP) -> np.ndarray:
     """Linearized flow map A of one smooth mode over [t0, t1] around x0's orbit."""
     field = sys.modes[mode]
-    x = np.asarray(x0, dtype=float).copy()
-    M = np.eye(field.dim)
+    n = field.dim
     span = t1 - t0
     if span == 0.0:
-        return M
+        return np.eye(n)
+
+    def augmented(t, z):
+        x, M = z[:n], z[n:].reshape(n, n)
+        return np.concatenate([field.f(t, x), (field.jacobian(t, x) @ M).ravel()])
+
+    z = np.concatenate([np.asarray(x0, dtype=float), np.eye(n).ravel()])
     n_sub = _substeps(t0, t1, step)
     h = span / n_sub
     t = t0
     for k in range(n_sub):
-        x, M = _joint_rk4_step(field.f, field.jacobian, t, x, M, h)
+        z = rk4_step(augmented, t, z, h)
         t = t0 + (k + 1) * h
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(M))):
+    if not np.all(np.isfinite(z)):
         raise NonFiniteState(f"non-finite variational flow over [{t0}, {t1}] in mode {mode}")
-    return M
+    return z[n:].reshape(n, n)
 
 
 _Linearization = tuple[tuple[tuple[np.ndarray, ...], ...], tuple[np.ndarray, ...]]

@@ -69,10 +69,6 @@ class RigidBodyModel:
       J_n(q) -> (1, m) or (m,) normal contact Jacobian;
       J_t(q) -> (k, m) tangential contact Jacobian, k in {0, 1}.
 
-    dq_velocity_map, when given, overrides the finite-difference evaluation of
-    D_q [W(q) qd] used inside closed-form saltation matrices; it receives
-    (tag, q, qd) where tag names the velocity map being differentiated.
-
     A model memoizes the KKT blocks of the last few distinct (M, J) pairs it
     met (see _kkt_blocks); that memo is its only state.
     """
@@ -88,7 +84,6 @@ class RigidBodyModel:
     e: float = 0.0
     mu_s: float = 0.0
     mu_k: float = 0.0
-    dq_velocity_map: Optional[Callable[[str, np.ndarray, np.ndarray], np.ndarray]] = None
     _kkt_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -356,15 +351,9 @@ def _post_impact_velocity_matrix(model: RigidBodyModel, target_mode: ContactMode
     return blocks.m_dag @ M
 
 
-def _dq_velocity_product(model: RigidBodyModel, tag: str, target_mode: ContactMode,
+def _dq_velocity_product(model: RigidBodyModel, target_mode: ContactMode,
                          q: np.ndarray, qd: np.ndarray) -> np.ndarray:
     """D_q [W(q) qd] with qd held fixed, by central differences per coordinate."""
-    if model.dq_velocity_map is not None:
-        out = np.asarray(model.dq_velocity_map(tag, q, qd), dtype=float)
-        if out.shape != (model.m, model.m):
-            raise ValueError("dq_velocity_map must return an m x m matrix")
-        return out
-
     def product(qq: np.ndarray) -> np.ndarray:
         return _post_impact_velocity_matrix(model, target_mode, qq) @ qd
 
@@ -383,7 +372,7 @@ def _impact_guard(model: RigidBodyModel) -> GuardSpec:
     def jac_x(t, x):
         q, _ = model.split(np.asarray(x, dtype=float))
         out = np.zeros(model.dim)
-        out[: model.m] = fd.grad_x(lambda tt, qq: model.g_n(tt, qq), t, q)
+        out[: model.m] = fd.jac_x(model.g_n, t, q)
         return out
 
     return GuardSpec(g=g, jac_x=jac_x)
@@ -438,7 +427,7 @@ def _impact_reset_spec(model: RigidBodyModel, target: ContactMode) -> ResetSpec:
     def jac_x(t, x):
         q, qd = model.split(np.asarray(x, dtype=float))
         W = _post_impact_velocity_matrix(model, target, q)
-        dq = _dq_velocity_product(model, f"impact->{target.value}", target, q, qd)
+        dq = _dq_velocity_product(model, target, q, qd)
         return _assemble(model, np.eye(model.m), dq, W)
 
     return ResetSpec(r=r, jac_x=jac_x, jac_t=lambda t, x: np.zeros(model.dim))
@@ -596,7 +585,7 @@ def _impact_saltation(model: RigidBodyModel, dst: ContactMode, t: float,
     W = _post_impact_velocity_matrix(model, dst, q)
     qd_plus = W @ qd
     x_plus = np.concatenate([q, qd_plus])
-    dq_w = _dq_velocity_product(model, f"impact->{dst.value}", dst, q, qd)
+    dq_w = _dq_velocity_product(model, dst, q, qd)
 
     C_minus = np.asarray(model.coriolis(q, qd), dtype=float)
     C_plus = np.asarray(model.coriolis(q, qd_plus), dtype=float)
@@ -652,7 +641,7 @@ def _stick_to_slip_saltation(model: RigidBodyModel, t: float, x_minus: np.ndarra
     eye = np.eye(model.dim)
 
     g = _cone_break_guard(model).g
-    dxg = fd.grad_x(g, t, x_minus)
+    dxg = fd.jac_x(g, t, x_minus)
     dtg = fd.diff_t(g, t, x_minus)
     denom = float(dtg + dxg @ f_minus)
     if abs(denom) < EPS_TRANS:

@@ -185,7 +185,7 @@ class _Stack:
 
     def slope(self, gd, f, t, X):
         try:
-            grad = gd.jac_x(t, X) if gd.jac_x is not None else fd.grad_x(gd.g, t, X)
+            grad = gd.jac_x(t, X) if gd.jac_x is not None else fd.jac_x(gd.g, t, X)
             grad = np.broadcast_to(np.asarray(grad, dtype=float), X.shape)
             g_t = gd.jac_t(t, X) if gd.jac_t is not None else fd.diff_t(gd.g, t, X)
             g_t = np.broadcast_to(np.asarray(g_t, dtype=float), X.shape[:1])

@@ -5,8 +5,14 @@ state space, plus guarded transitions between modes. Guards trigger when their
 value crosses zero from the positive side (g > 0 is the domain interior);
 resets map the pre-event state into the target mode's state space.
 
-All evaluators take (t, x) with x a 1-D float array. Analytic Jacobians are
-optional on every spec; central finite differences fill in when absent.
+Every evaluator takes (t, x). The scalar paths (`simulate`, saltation,
+propagation) pass a 1-D float state and a float time. The batched engine
+behind `oracles.monte_carlo_covariance` and `oracles.numeric_saltation`
+passes a stack of rows (N, n), with a float time while the rows share one and
+an (N,) array of times otherwise; a callable that does not broadcast over the
+leading row axis makes those oracles run one row at a time (README
+"Simulation semantics"). Analytic Jacobians are optional on every spec;
+central finite differences fill in when absent.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ class GuardSpec:
     def grad_x(self, t: float, x: np.ndarray) -> np.ndarray:
         if self.jac_x is not None:
             return np.asarray(self.jac_x(t, x), dtype=float).reshape(-1)
-        return fd.grad_x(self.g, t, x)
+        return fd.jac_x(self.g, t, x).reshape(-1)
 
     def grad_t(self, t: float, x: np.ndarray) -> float:
         if self.jac_t is not None:

@@ -296,6 +296,48 @@ def test_usage_error_exit_code():
     assert info.value.code == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["saltation", "--model", "bouncing-ball", "--x0", "1,0", "--t", "0.6", "--format", "csv"],
+    ["monodromy", "--model", "bouncing-ball", "--e", "1.0", "--x0", "1,0", "--t", "2.0",
+     "--seed", "3"],
+    ["lqr", "--model", "bouncing-ball", "--x0", "1,0", "--t", "0.6", "--format", "json"],
+    ["simulate", "--model", "bouncing-ball", "--x0", "1,0", "--t", "0.6", "--seed", "3"],
+])
+def test_options_a_command_does_not_read_are_usage_errors(argv):
+    # --format is read by simulate and covariance only, --seed by covariance
+    # (and verify); elsewhere they would be accepted and silently ignored
+    with pytest.raises(SystemExit) as info:
+        _run(argv)
+    assert info.value.code == 64
+
+
+_MC = ["covariance", "--model", "constant-flow", "--f-i", "1,-1", "--f-j", "1,0.3",
+       "--guard-normal", "0,1", "--x0", "0,0.1", "--t", "0.2", "--sigma0", "1e-4",
+       "--step", "0.005", "--mc-check"]
+
+
+@pytest.mark.parametrize("argv", [
+    _MC + ["--mc-samples", "0"],
+    _MC + ["--mc-samples", "1"],
+    ["verify", "--mc-samples", "1"],
+], ids=["covariance-0", "covariance-1", "verify-1"])
+def test_fewer_than_two_monte_carlo_samples_is_a_schema_error(argv):
+    code, out, err = _run(argv)
+    assert code == 5
+    assert out == ""
+    assert "mc_samples" in err
+
+
+def test_covariance_exit_code_follows_the_printed_pass_flag(monkeypatch):
+    # a NaN gap compares false both ways; the document says "pass": false,
+    # so the exit code must not say success
+    monkeypatch.setattr("saltlib.cli.monte_carlo_covariance",
+                        lambda *a, **k: np.full((2, 2), np.nan))
+    code, out, _ = _run(_MC + ["--mc-samples", "100"])
+    assert '"pass": false' in out
+    assert code == 6
+
+
 def test_verify_battery_is_deterministic(tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify", "--seed", "7", "--mc-samples", "20000"]

@@ -11,8 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import saltlib as sl
 import saltlib.propagation
-from saltlib.oracles import _batch_rollout
-from saltlib.simulate import _substeps
+from saltlib.simulate import _STACK, _rollout, _substeps
 
 
 def _nonlinear_two_mode():
@@ -205,7 +204,7 @@ def test_batch_rollout_applies_each_transition_once_per_pass():
     X0 = np.array([[0.0098, 0.7836, 0.3104, 0.4072],
                    [-0.076, 0.3215, 0.7224, -0.1343]])
     opts = sl.SimOptions()
-    _, codes = _batch_rollout(sys_, 0, X0, 0.0, 0.6, opts)
+    _, codes = _rollout(_STACK, sys_, 0, 0.0, X0, 0.6, opts)
     n_tr = len(sys_.transitions)
     per_row = [_event_code(sl.simulate(sys_, 0, x, (0.0, 0.6), opts), n_tr) for x in X0]
     assert per_row == [1, 5]
@@ -216,7 +215,7 @@ def test_batch_rollout_event_codes_match_per_row_simulation():
     _, sys_ = sl.ball_drop(sl.BallDropParams(theta=0.2, e=0.8))
     opts = sl.SimOptions(step=2e-3)
     X0 = _elastic_incline_samples(200, seed=0)
-    _, codes = _batch_rollout(sys_, 0, X0, 0.0, 0.6, opts)
+    _, codes = _rollout(_STACK, sys_, 0, 0.0, X0, 0.6, opts)
     n_tr = len(sys_.transitions)
     per_row = [_event_code(sl.simulate(sys_, 0, x, (0.0, 0.6), opts), n_tr) for x in X0]
     # impact only, impact then apex, and a second impact all occur
@@ -229,8 +228,8 @@ def test_batch_rollout_is_equivariant_under_row_permutation():
     opts = sl.SimOptions(step=2e-3)
     X0 = _elastic_incline_samples(200, seed=1)
     perm = np.random.default_rng(2).permutation(X0.shape[0])
-    X_f, codes = _batch_rollout(sys_, 0, X0, 0.0, 0.6, opts)
-    X_p, codes_p = _batch_rollout(sys_, 0, X0[perm], 0.0, 0.6, opts)
+    X_f, codes = _rollout(_STACK, sys_, 0, 0.0, X0, 0.6, opts)
+    X_p, codes_p = _rollout(_STACK, sys_, 0, 0.0, X0[perm], 0.6, opts)
     assert len(set(codes.tolist())) > 1
     np.testing.assert_array_equal(codes_p, codes[perm])
     np.testing.assert_array_equal(X_p, X_f[perm])
@@ -268,10 +267,10 @@ def test_batch_event_times_do_not_depend_on_batch_mates():
         first = rng.uniform(0.05, 0.9, 2) * opts.step
         second = first + rng.uniform(0.02, 0.98, 2) * (opts.step - first)
         X0 = np.column_stack([first, second])
-        X, codes = _batch_rollout(sys_, 0, X0, 0.0, 2 * opts.step, opts)
+        X, codes = _rollout(_STACK, sys_, 0, 0.0, X0, 2 * opts.step, opts)
         assert codes.tolist() == [5, 5]
         for r in range(2):
-            x_alone, code_alone = _batch_rollout(sys_, 0, X0[r:r + 1], 0.0, 2 * opts.step, opts)
+            x_alone, code_alone = _rollout(_STACK, sys_, 0, 0.0, X0[r:r + 1], 2 * opts.step, opts)
             np.testing.assert_array_equal(x_alone[0], X[r])
             assert code_alone[0] == codes[r]
 
@@ -308,7 +307,7 @@ def test_batch_rows_match_their_own_simulation(case):
     else:
         sys_ = _cascade_system(11, 5e-5)
         X0, span = np.array([[1e-5], [3e-5], [2.2e-4], [4e-4]]), (0.0, 3 * opts.step)
-    X, codes = _batch_rollout(sys_, 0, X0, span[0], span[1], opts)
+    X, codes = _rollout(_STACK, sys_, 0, span[0], X0, span[1], opts)
     n_tr = len(sys_.transitions)
     for r, x0 in enumerate(X0):
         traj = sl.simulate(sys_, 0, x0, span, opts)
@@ -367,8 +366,15 @@ def test_monte_carlo_runs_fields_that_do_not_broadcast_one_row_at_a_time():
     args = (sl.build_hybrid_system(model), 0, np.array([0.0, 0.3, 0.0, 0.0]),
             1e-6 * np.eye(4), (0.0, 0.05))
     with pytest.raises(ValueError, match="broadcast over a leading row axis"):
-        _batch_rollout(args[0], 0, np.tile(args[2], (8, 1)), 0.0, 0.05, sl.SimOptions())
+        _rollout(_STACK, args[0], 0, 0.0, np.tile(args[2], (8, 1)), 0.05, sl.SimOptions())
     assert sl.monte_carlo_covariance(*args, n_samples=8).shape == (4, 4)
+
+
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_monte_carlo_needs_two_samples(n_samples):
+    with pytest.raises(ValueError, match="n_samples >= 2"):
+        sl.monte_carlo_covariance(_constant_flow(), 0, np.array([0.0, 0.1]), 1e-4 * np.eye(2),
+                                  (0.0, 0.2), n_samples=n_samples)
 
 
 def test_monte_carlo_gap_shrinks_like_root_n():

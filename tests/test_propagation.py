@@ -48,6 +48,24 @@ def test_variational_flow_composes_across_subintervals():
     np.testing.assert_allclose(second @ first, whole, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("t1, step", [(0.65, 1.0), (0.65, 0.03)], ids=["1 substep", "14 substeps"])
+def test_variational_flow_is_rk4_of_the_augmented_state(t1, step):
+    # pins the one RK4 kernel: the variational flow is flow_to of
+    # z = (x, vec M) under (f(t, x), D_x f(t, x) M), bit for bit
+    def jac(t, x):
+        return np.array([[0.0, 1.0], [-np.cos(x[0]), 0.0]])
+
+    field = sl.VectorFieldSpec(dim=2, f=lambda t, x: np.array([x[1], -np.sin(x[0])]), jac_x=jac)
+
+    def augmented(t, z):
+        return np.concatenate([field.f(t, z[:2]), (jac(t, z[:2]) @ z[2:].reshape(2, 2)).ravel()])
+
+    t0, x0 = 0.25, np.array([1.0, 0.3])
+    z = sl.flow_to(augmented, t0, np.concatenate([x0, np.eye(2).ravel()]), t1, step)
+    A = sl.variational_flow(_single_mode(field), 0, t0, x0, t1, step)
+    np.testing.assert_array_equal(A, z[2:].reshape(2, 2))
+
+
 def test_fundamental_matrix_is_flow_saltation_sandwich():
     sys_ = sl.bouncing_ball(e=0.5)
     traj = sl.simulate(sys_, 0, np.array([1.0, 0.0]), (0.0, 0.6))

@@ -62,6 +62,13 @@ def test_guard_finite_difference_gradients_match_analytic():
     assert g.grad_t(1.0, x) == pytest.approx(0.2, rel=1e-7)
 
 
+def test_guard_returning_one_element_array_gets_a_flat_gradient():
+    g = sl.GuardSpec(g=lambda t, x: np.array([x[0] ** 2 - 0.5 * x[1]]))
+    grad = g.grad_x(0.0, np.array([0.8, -0.3]))
+    assert grad.shape == (2,)
+    np.testing.assert_allclose(grad, [2 * 0.8, -0.5], rtol=1e-7)
+
+
 def test_vector_field_finite_difference_jacobian():
     spec = sl.VectorFieldSpec(dim=2, f=lambda t, x: np.array([np.sin(x[1]), x[0] * x[1]]))
     x = np.array([0.4, 1.1])
@@ -76,6 +83,24 @@ def test_fd_step_is_clamped_for_small_and_scaled_for_large():
     assert big == pytest.approx(2e6, rel=1e-7)
     small = fd.jac_x(f, 0.0, np.array([0.0]))[0, 0]
     assert small == pytest.approx(0.0, abs=1e-9)
+
+
+def test_fd_jacobian_of_a_scalar_on_a_stack_equals_its_rows():
+    # one finite-difference Jacobian serves 1-D states and (N, n) stacks: a
+    # scalar function gets one gradient per row, the row's own bit for bit
+    def g(t, x):
+        return x[..., 0] ** 2 * np.sin(x[..., 1]) + 0.3 * t * x[..., 2]
+
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((7, 3)) * np.array([1.0, 10.0, 1e3])
+    T = rng.uniform(-2.0, 2.0, 7)
+    for t in (0.4, T):
+        stack = fd.jac_x(g, t, X)
+        assert stack.shape == (7, 3)
+        for r in range(7):
+            row = fd.jac_x(g, t if np.isscalar(t) else t[r], X[r])
+            assert row.shape == (3,)
+            np.testing.assert_array_equal(stack[r], row)
 
 
 @pytest.mark.parametrize("build", [
