@@ -320,6 +320,20 @@ class LqrSolution:
         return self.values[0]
 
 
+def _check_stage_shapes(sys: HybridSystem, traj: HybridTrajectory, q_fn, v_fn, b_fn) -> None:
+    """Check Q, V and B at the first interval the backward pass reaches."""
+    seg = next((seg for seg in reversed(traj.segments) if seg.times.size > 1), None)
+    if seg is None:
+        return
+    t0, n = float(seg.times[-2]), sys.dim(seg.mode)
+    _require_square(q_fn(t0), "Q", sys, seg.mode)
+    b, v = b_fn(t0), v_fn(t0)
+    if b.ndim != 2 or b.shape[0] != n:
+        raise ValueError(f"B has shape {b.shape}, expected ({n}, k) for mode {sys.mode_label(seg.mode)}")
+    if v.shape != (b.shape[1],) * 2:
+        raise ValueError(f"V has shape {v.shape}, expected {(b.shape[1],) * 2} for the columns of B")
+
+
 def hybrid_lqr_backward(
     sys: HybridSystem,
     traj: HybridTrajectory,
@@ -339,6 +353,7 @@ def hybrid_lqr_backward(
     q_fn, v_fn, b_fn = _as_matrix_fn(Q), _as_matrix_fn(V), _as_matrix_fn(B)
     p = np.asarray(P_terminal, dtype=float)
     _require_square(p, "P_terminal", sys, traj.segments[-1].mode)
+    _check_stage_shapes(sys, traj, q_fn, v_fn, b_fn)
     flows, xis = _linearize(sys, traj, step)
 
     p = _sym(p)

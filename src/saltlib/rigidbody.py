@@ -27,8 +27,8 @@ from .errors import (
     SlidingSingularity,
     TangentialEvent,
 )
-from .saltation import SaltationResult
-from .simulate import EPS_TRANS
+from .saltation import SaltationResult, _assemble
+from .simulate import EPS_GRAD, EPS_TRANS
 from .system import GuardSpec, HybridSystem, ResetSpec, TransitionSpec, VectorFieldSpec, identity_reset
 
 EPS_SLIDE = 1e-10
@@ -395,9 +395,10 @@ def _velocity_guard(model: RigidBodyModel, jac: Callable[[np.ndarray], np.ndarra
     return GuardSpec(g=g, jac_x=jac_x, jac_t=lambda t, x: 0.0, two_sided=two_sided)
 
 
-def _liftoff_guard(model: RigidBodyModel, from_mode: ContactMode) -> GuardSpec:
+def _liftoff_guard(model: RigidBodyModel, from_mode: ContactMode,
+                   slide_direction: Optional[float] = None) -> GuardSpec:
     def g(t, x):
-        return float(constraint_forces(model, from_mode, t, np.asarray(x, dtype=float))[0])
+        return float(constraint_forces(model, from_mode, t, x, slide_direction)[0])
 
     return GuardSpec(g=g)
 
@@ -428,7 +429,7 @@ def _impact_reset_spec(model: RigidBodyModel, target: ContactMode) -> ResetSpec:
         q, qd = model.split(np.asarray(x, dtype=float))
         W = _post_impact_velocity_matrix(model, target, q)
         dq = _dq_velocity_product(model, target, q, qd)
-        return _assemble(model, np.eye(model.m), dq, W)
+        return _block_matrix(model, np.eye(model.m), dq, W)
 
     return ResetSpec(r=r, jac_x=jac_x, jac_t=lambda t, x: np.zeros(model.dim))
 
@@ -495,8 +496,8 @@ def build_hybrid_system(model: RigidBodyModel) -> HybridSystem:
 # closed-form saltation matrices
 
 
-def _assemble(model: RigidBodyModel, ul: np.ndarray, ll: np.ndarray,
-              lr: np.ndarray) -> np.ndarray:
+def _block_matrix(model: RigidBodyModel, ul: np.ndarray, ll: np.ndarray,
+                  lr: np.ndarray) -> np.ndarray:
     m = model.m
     xi = np.zeros((2 * m, 2 * m))
     xi[:m, :m] = ul
@@ -506,8 +507,10 @@ def _assemble(model: RigidBodyModel, ul: np.ndarray, ll: np.ndarray,
 
 
 def _identity_saltation(model: RigidBodyModel, src: ContactMode, dst: ContactMode,
-                        t: float, x: np.ndarray, denom: float,
-                        f_minus: np.ndarray) -> SaltationResult:
+                        guard: GuardSpec, t: float, x: np.ndarray,
+                        slide_direction: Optional[float]) -> SaltationResult:
+    """Xi = I for a transition whose fields agree at the event."""
+    f_minus = _contact_solve(model, src, t, x, 0.0, slide_direction)
     f_plus = _contact_solve(model, dst, t, x, 0.0)
     gap = float(np.max(np.abs(f_plus - f_minus)))
     if gap > 1e-6 * (1.0 + float(np.max(np.abs(f_minus)))):
@@ -515,14 +518,10 @@ def _identity_saltation(model: RigidBodyModel, src: ContactMode, dst: ContactMod
             f"{src.value}->{dst.value} expected matching vector fields at the event, "
             f"gap {gap:.3e}; the state does not sit on the transition surface"
         )
+    denom = float(guard.grad_t(t, x) + guard.grad_x(t, x) @ f_minus)
     eye = np.eye(model.dim)
     return SaltationResult(xi=eye, dxr=eye, denom=denom, f_minus=f_minus,
                            f_plus=f_plus, identity_shortcut=True)
-
-
-def _total_guard_derivative(gfun, t, x, f, h=1e-6) -> float:
-    """d/dt g(t, x(t)) along a flow direction f, by central difference."""
-    return float(gfun(t + h, x + h * f) - gfun(t - h, x - h * f)) / (2.0 * h)
 
 
 def closed_form_saltation(model: RigidBodyModel, transition: Sequence[ModeLike],
@@ -533,39 +532,52 @@ def closed_form_saltation(model: RigidBodyModel, transition: Sequence[ModeLike],
     transition is a (from, to) pair of ContactMode or their string names.
     slide_direction orients kinetic friction when the tangential velocity at
     the event does not determine it (stick-to-slip onset, slip reversal).
+
+    Impacts out of U are closed forms. Otherwise Xi = I (apex, liftoff) or
+    the assembly of saltation_matrix (C->S, S->C), and denom is the signed
+    D_t g + D_x g . F- of the guard build_hybrid_system gives the transition.
     """
     src, dst = (_as_mode(transition[0]), _as_mode(transition[1]))
     x_minus = np.asarray(x_minus, dtype=float)
-    q, qd = model.split(x_minus)
     pair = (src, dst)
 
     if pair == (ContactMode.V, ContactMode.U):
         # apex: identical ballistic fields on both sides of a velocity guard
-        jn = model.jn(q)
-        f_minus = _contact_solve(model, src, t, x_minus, 0.0)
-        qdd = f_minus[model.m:]
-        jdot = _jdot(model.J_n, q, qd)
-        denom = float((jdot @ qd + jn @ qdd)[0])
-        return _identity_saltation(model, src, dst, t, x_minus, denom, f_minus)
+        return _identity_saltation(model, src, dst, _velocity_guard(model, model.jn),
+                                   t, x_minus, slide_direction)
 
     if pair in ((ContactMode.S, ContactMode.V), (ContactMode.C, ContactMode.V)):
         # liftoff: constrained and free accelerations agree when f_n = 0
-        def g(tt, xx):
-            return float(constraint_forces(model, src, tt, xx,
-                                           slide_direction=slide_direction)[0])
-
-        f_minus = _contact_solve(model, src, t, x_minus, 0.0, slide_direction)
-        denom = _total_guard_derivative(g, t, x_minus, f_minus)
-        return _identity_saltation(model, src, dst, t, x_minus, denom, f_minus)
+        return _identity_saltation(model, src, dst, _liftoff_guard(model, src, slide_direction),
+                                   t, x_minus, slide_direction)
 
     if src is ContactMode.U and dst in (ContactMode.S, ContactMode.C, ContactMode.V):
         return _impact_saltation(model, dst, t, x_minus, slide_direction)
 
     if pair == (ContactMode.C, ContactMode.S):
-        return _stick_to_slip_saltation(model, t, x_minus, slide_direction)
+        if not (np.isfinite(model.mu_s) and model.mu_s > 0.0):
+            raise ValueError("stick-to-slip requires finite nonzero mu_s")
+        forces = constraint_forces(model, ContactMode.C, t, x_minus)
+        if slide_direction is None and abs(forces[1]) < 1e-12:
+            raise ValueError("tangential force vanishes; pass slide_direction")
+        d = _slide_sign(-forces[1], slide_direction, 0.0)  # slip starts against the constraint force
+        f_minus = _contact_solve(model, ContactMode.C, t, x_minus, 0.0)
+        f_plus = _contact_solve(model, ContactMode.S, t, x_minus, 0.0, d)
+        # a cone-break guard may move in t alone (a driven body at rest): no gradient floor
+        return _assemble(t, x_minus, x_minus, f_minus, f_plus, _cone_break_guard(model),
+                         identity_reset(model.dim), EPS_TRANS, 0.0)
 
     if pair == (ContactMode.S, ContactMode.C):
-        return _slip_to_stick_saltation(model, t, x_minus, slide_direction)
+        q, qd = model.split(x_minus)
+        jt = model.jt(q)
+        if jt.shape[0] == 0:
+            raise ValueError("slip-to-stick requires a tangential Jacobian")
+        d = _slide_sign(float((jt @ qd)[0]), slide_direction, EPS_SLIDE)
+        f_minus = _contact_solve(model, ContactMode.S, t, x_minus, 0.0, d)
+        f_plus = _contact_solve(model, ContactMode.C, t, x_minus, 0.0)
+        return _assemble(t, x_minus, x_minus, f_minus, f_plus,
+                         _velocity_guard(model, model.jt, two_sided=True),
+                         identity_reset(model.dim), EPS_TRANS, EPS_GRAD)
 
     raise ValueError(f"no closed form for transition {src.value}->{dst.value}")
 
@@ -621,60 +633,9 @@ def _impact_saltation(model: RigidBodyModel, dst: ContactMode, t: float,
         ll = z + dq_w
         lr = W
 
-    xi = _assemble(model, ul, ll, lr)
-    dxr = _assemble(model, np.eye(m), dq_w, W)
+    xi = _block_matrix(model, ul, ll, lr)
+    dxr = _block_matrix(model, np.eye(m), dq_w, W)
     return SaltationResult(xi=xi, dxr=dxr, denom=jn_qd, f_minus=f_minus,
-                           f_plus=f_plus, identity_shortcut=False)
-
-
-def _stick_to_slip_saltation(model: RigidBodyModel, t: float, x_minus: np.ndarray,
-                             slide_direction: Optional[float]) -> SaltationResult:
-    if not (np.isfinite(model.mu_s) and model.mu_s > 0.0):
-        raise ValueError("stick-to-slip requires finite nonzero mu_s")
-    forces = constraint_forces(model, ContactMode.C, t, x_minus)
-    if slide_direction is None and abs(forces[1]) < 1e-12:
-        raise ValueError("tangential force vanishes; pass slide_direction")
-    d = _slide_sign(-forces[1], slide_direction, 0.0)  # slip starts against the constraint force
-
-    f_minus = _contact_solve(model, ContactMode.C, t, x_minus, 0.0)
-    f_plus = _contact_solve(model, ContactMode.S, t, x_minus, 0.0, d)
-    eye = np.eye(model.dim)
-
-    g = _cone_break_guard(model).g
-    dxg = fd.jac_x(g, t, x_minus)
-    dtg = fd.diff_t(g, t, x_minus)
-    denom = float(dtg + dxg @ f_minus)
-    if abs(denom) < EPS_TRANS:
-        raise TangentialEvent("cone-break guard is tangential", t=t, derivative=denom)
-    if model.mu_s == model.mu_k:
-        # kinetic force at onset equals the static force on the cone boundary
-        return SaltationResult(xi=eye, dxr=eye, denom=denom, f_minus=f_minus,
-                               f_plus=f_plus, identity_shortcut=True)
-    xi = eye + np.outer(f_plus - f_minus, dxg) / denom
-    return SaltationResult(xi=xi, dxr=eye, denom=denom, f_minus=f_minus,
-                           f_plus=f_plus, identity_shortcut=False)
-
-
-def _slip_to_stick_saltation(model: RigidBodyModel, t: float, x_minus: np.ndarray,
-                             slide_direction: Optional[float]) -> SaltationResult:
-    q, qd = model.split(x_minus)
-    jt = model.jt(q)
-    if jt.shape[0] == 0:
-        raise ValueError("slip-to-stick requires a tangential Jacobian")
-    s = _slide_sign(float((jt @ qd)[0]), slide_direction, EPS_SLIDE)
-
-    f_minus = _contact_solve(model, ContactMode.S, t, x_minus, 0.0, s)
-    f_plus = _contact_solve(model, ContactMode.C, t, x_minus, 0.0)
-    qdd_minus = f_minus[model.m:]
-
-    dxg = s * _velocity_guard(model, model.jt).jac_x(t, x_minus)
-    jdot_t = _jdot(model.J_t, q, qd)
-    denom = s * float((jdot_t @ qd + jt @ qdd_minus)[0])
-    if abs(denom) < EPS_TRANS:
-        raise TangentialEvent("slip-stop guard is tangential", t=t, derivative=denom)
-    eye = np.eye(model.dim)
-    xi = eye + np.outer(f_plus - f_minus, dxg) / denom
-    return SaltationResult(xi=xi, dxr=eye, denom=denom, f_minus=f_minus,
                            f_plus=f_plus, identity_shortcut=False)
 
 

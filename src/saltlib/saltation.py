@@ -8,6 +8,9 @@ field F+, the saltation matrix is
 evaluated with F-, D_x R, D_t R, D_x g, D_t g at (t, x-) and F+ at (t, x+).
 It maps state perturbations just before the event to perturbations just
 after: dx+ = Xi dx- + h.o.t. The correction beyond D_x R is rank one.
+
+The rigid-body closed forms of stick-to-slip and slip-to-stick are this
+assembly too, on their own fields and their system guard and reset.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateGuard, NonFiniteState, TangentialEvent
 from .simulate import EPS_GRAD, EPS_TRANS
-from .system import HybridSystem
+from .system import GuardSpec, HybridSystem, ResetSpec
 from .trajectory import EventRecord
 
 TOL_ID = 1e-9
@@ -77,10 +80,19 @@ def saltation_matrix(
 
     f_minus = np.asarray(sys.modes[tr.from_mode].f(t, x_minus), dtype=float)
     f_plus = np.asarray(sys.modes[tr.to_mode].f(t, x_plus), dtype=float)
-    dxr = tr.reset.jacobian_x(t, x_minus)
-    dtr = tr.reset.jacobian_t(t, x_minus)
-    dxg = tr.guard.grad_x(t, x_minus)
-    dtg = tr.guard.grad_t(t, x_minus)
+    return _assemble(t, x_minus, x_plus, f_minus, f_plus, tr.guard, tr.reset, eps_trans, eps_grad)
+
+
+def _assemble(t: float, x_minus: np.ndarray, x_plus: np.ndarray, f_minus: np.ndarray,
+              f_plus: np.ndarray, guard: GuardSpec, reset: ResetSpec, eps_trans: float,
+              eps_grad: float) -> SaltationResult:
+    """The saltation rule for given fields F- at x_minus and F+ at x_plus, with
+    the reset and guard derivatives taken through their specs at (t, x_minus)."""
+    n_from, n_to = x_minus.shape[0], x_plus.shape[0]
+    dxr = reset.jacobian_x(t, x_minus)
+    dtr = reset.jacobian_t(t, x_minus)
+    dxg = guard.grad_x(t, x_minus)
+    dtg = guard.grad_t(t, x_minus)
     if dxr.shape != (n_to, n_from):
         raise ValueError(f"reset Jacobian shape {dxr.shape}, expected ({n_to}, {n_from})")
     if dxg.shape != (n_from,):

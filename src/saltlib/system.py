@@ -41,9 +41,19 @@ class VectorFieldSpec:
         return fd.jac_x(self.f, t, x)
 
 
+def _scalar(v) -> float:
+    """A scalar or any one-element array as a float; more elements raise TypeError."""
+    try:
+        return float(v)
+    except TypeError:  # numpy refuses float() of an array with ndim > 0
+        a = np.asarray(v, dtype=float)
+        return float(a.reshape(()) if a.size == 1 else a)
+
+
 @dataclass(frozen=True)
 class GuardSpec:
     """Scalar event function; the transition fires when g reaches zero.
+    On one state, g may return a float or any one-element array.
 
     two_sided marks guards whose in-domain sign depends on the approach
     direction (e.g. signed tangential velocity): detection then also accepts
@@ -57,7 +67,7 @@ class GuardSpec:
     two_sided: bool = False
 
     def value(self, t: float, x: np.ndarray) -> float:
-        return float(self.g(t, x))
+        return _scalar(self.g(t, x))
 
     def grad_x(self, t: float, x: np.ndarray) -> np.ndarray:
         if self.jac_x is not None:
@@ -66,8 +76,8 @@ class GuardSpec:
 
     def grad_t(self, t: float, x: np.ndarray) -> float:
         if self.jac_t is not None:
-            return float(self.jac_t(t, x))
-        return float(fd.diff_t(self.g, t, x))
+            return _scalar(self.jac_t(t, x))
+        return _scalar(fd.diff_t(self.g, t, x))
 
 
 @dataclass(frozen=True)

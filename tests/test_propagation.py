@@ -282,6 +282,21 @@ def test_fold_shapes_are_checked_before_linearizing():
         sl.hybrid_lqr_backward(sys_, traj, np.eye(4), np.eye(2), B, np.eye(3))
     assert calls == []
 
+    sys_, calls = _counted(sl.bouncing_ball(e=0.5))
+    traj = sl.simulate(sys_, 0, np.array([1.0, 0.0]), (0.0, 0.6))
+    calls.clear()
+    B = np.array([[0.0], [1.0]])
+    cases = [
+        ((np.eye(2), np.eye(2), B), r"V has shape \(2, 2\), expected \(1, 1\)"),
+        ((np.eye(3), np.eye(1), B), r"Q has shape \(3, 3\), expected \(2, 2\)"),
+        ((np.eye(2), np.eye(1), np.ones((3, 1))), r"B has shape \(3, 1\), expected \(2, k\)"),
+        ((np.eye(2), np.eye(1), lambda t: np.ones(2)), r"B has shape \(2,\), expected \(2, k\)"),
+    ]
+    for (Q, V, B_), message in cases:
+        with pytest.raises(ValueError, match=message):
+            sl.hybrid_lqr_backward(sys_, traj, Q, V, B_, np.eye(2))
+    assert calls == []
+
 
 def test_monodromy_circle_orbit_is_marginal():
     A = np.array([[0.0, -np.pi], [np.pi, 0.0]])

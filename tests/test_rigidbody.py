@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import saltlib as sl
-from saltlib import rigidbody
+from saltlib import rigidbody, saltation
 from saltlib.errors import SingularConstraint, SlidingSingularity, TangentialEvent
 from saltlib.rigidbody import ContactMode, mode_tags
+from saltlib.simulate import EPS_TRANS
 
 G = 9.81
 
@@ -432,6 +433,64 @@ def test_slip_to_stick_structure_flags():
     assert rep.identity_reset
     assert rep.field_match is False
     assert rep.equal_diag_blocks is False
+
+
+def _driven_incline(mu_k, drive):
+    """_incline_model(0.0) with mu_s = 0.6, kinetic mu_k and a tangential drive."""
+    return dataclasses.replace(
+        _incline_model(0.0, input_fn=lambda t, q, qd: np.array([drive(t, q, qd), 0.0])),
+        mu_k=mu_k)
+
+
+def _thrust_drop(friction):
+    # the thrust G t cancels gravity at t = 1, where f_n falls through zero
+    model, _ = sl.ball_drop(sl.BallDropParams(theta=0.0, friction=friction,
+                                              u2=lambda t, x: G * t))
+    return model
+
+
+# (model, transition, t, x_minus, slide_direction, pre- and post-event modes)
+_NON_IMPACT_CASES = {
+    "C->S mu_s = mu_k": (_driven_incline(0.6, lambda t, q, qd: 0.6 * G * t), ("C", "S"),
+                         1.0, np.array([0.3, 0.0, 0.0, 0.0]), 1.0),
+    "C->S mu_s != mu_k": (_driven_incline(0.4, lambda t, q, qd: 0.6 * G * t + 2.0 * q[0]
+                                          + 0.5 * qd[1]), ("C", "S"),
+                          1.0 - 1.0 / G, np.array([0.3, 0.0, 0.0, 0.0]), 1.0),
+    "S->C d = +1": (_incline_model(0.3), ("S", "C"), 0.0, _on_surface_state(0.3, [0.0, 0.0]),
+                    1.0),
+    "S->C d = -1": (_incline_model(0.3), ("S", "C"), 0.0, _on_surface_state(0.3, [0.0, 0.0]),
+                    -1.0),
+    "V->U": (sl.ball_drop(sl.BallDropParams(theta=0.3, e=0.5))[0], ("V", "U"), 0.0,
+             np.array([0.3, 0.8, 0.4, 0.0]), None),
+    "S->V": (_thrust_drop("frictionless-slide"), ("S", "V"), 1.0,
+             np.array([0.0, 0.0, 0.5, 0.0]), None),
+    "C->V": (_thrust_drop("infinite-stick"), ("C", "V"), 1.0, np.zeros(4), None),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_IMPACT_CASES))
+def test_non_impact_closed_forms_are_the_assembly_on_the_system_transition(case):
+    # the friction transitions are saltation.py's assembly on the guard and
+    # reset build_hybrid_system gives them, bit for bit; the apex and the
+    # liftoffs are Xi = I with that guard's denominator
+    model, pair, t, x, d = _NON_IMPACT_CASES[case]
+    sys_ = sl.build_hybrid_system(model)
+    tr = sys_.transitions[sys_.transition_names.index("->".join(pair))]
+    f_minus = sl.mode_dynamics(model, pair[0], t, x, slide_direction=d)
+    f_plus = sl.mode_dynamics(model, pair[1], t, x, slide_direction=d)
+    assembled = saltation._assemble(t, x, x, f_minus, f_plus, tr.guard, tr.reset,
+                                    EPS_TRANS, 0.0)
+    closed = sl.closed_form_saltation(model, pair, t, x, slide_direction=d)
+    assert closed.denom == assembled.denom
+    assert abs(closed.denom) > 1.0
+    if pair[0] in "CS" and pair[1] in "CS":
+        assert closed.xi.tobytes() == assembled.xi.tobytes()
+        assert closed.identity_shortcut == assembled.identity_shortcut
+        assert closed.identity_shortcut == (case == "C->S mu_s = mu_k")
+        if case == "C->S mu_s != mu_k":
+            assert float(np.abs(closed.xi - np.eye(4)).max()) > 0.1
+    else:
+        assert closed.xi.tobytes() == np.eye(4).tobytes()
 
 
 def test_mode_tags_follow_friction_regime():

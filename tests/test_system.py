@@ -69,6 +69,25 @@ def test_guard_returning_one_element_array_gets_a_flat_gradient():
     np.testing.assert_allclose(grad, [2 * 0.8, -0.5], rtol=1e-7)
 
 
+def test_guard_returning_one_element_array_simulates_like_a_scalar_guard():
+    def run(g):
+        modes = (sl.affine_field(np.zeros((2, 2)), np.array([1.0, -1.0])),
+                 sl.affine_field(np.zeros((2, 2)), np.array([1.0, 0.0])))
+        sys_ = sl.HybridSystem(modes=modes, transitions=(
+            sl.TransitionSpec(0, 1, sl.GuardSpec(g=g), sl.identity_reset(2)),))
+        traj = sl.simulate(sys_, 0, np.array([0.0, 1.0]), (0.0, 2.0))
+        return [(seg.times.tobytes(), seg.states.tobytes()) for seg in traj.segments]
+
+    scalar = run(lambda t, x: x[1])
+    assert len(scalar) == 2
+    assert run(lambda t, x: np.array([x[1]])) == scalar
+    grad_t = sl.GuardSpec(g=lambda t, x: np.array([x[1] + 0.2 * t])).grad_t(1.0, np.zeros(2))
+    assert isinstance(grad_t, float)
+    assert grad_t == pytest.approx(0.2, rel=1e-7)
+    with pytest.raises(TypeError):
+        sl.GuardSpec(g=lambda t, x: x).value(0.0, np.zeros(2))
+
+
 def test_vector_field_finite_difference_jacobian():
     spec = sl.VectorFieldSpec(dim=2, f=lambda t, x: np.array([np.sin(x[1]), x[0] * x[1]]))
     x = np.array([0.4, 1.1])
