@@ -3,15 +3,21 @@
 The point-mass drop onto an inclined plane comes in three friction regimes
 and doubles as the reference workload for the rigid-body layer: the model
 object feeds the generic contact machinery while the returned HybridSystem
-uses hand-derived affine fields and guards (they coincide; the test suite
-checks that). All closures broadcast over leading batch axes so the Monte
-Carlo oracle can integrate many samples at once.
+uses closed-form fields, guards and resets (they coincide; the test suite
+checks that). One rule gives them all. With M = m I and constant contact
+rows, a plastic impact maps the velocity by M^dagger M, which is one 2x2
+projector P per contact mode: I in flight, Omega = I - n n^T when sliding
+(n = (sin theta, cos theta) the contact normal), 0 when sticking. The
+mode's acceleration is P applied to the free acceleration
+a = (u1/m, u2/m - a_g), and leaving contact is the normal force
+-m n . a reaching zero. All closures broadcast over leading batch axes so
+the Monte Carlo oracle can integrate many samples at once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -22,7 +28,6 @@ from .rigidbody import ContactMode, RigidBodyModel
 from .system import (
     GuardSpec,
     HybridSystem,
-    ResetSpec,
     TransitionSpec,
     VectorFieldSpec,
     affine_field,
@@ -120,12 +125,7 @@ def _ball_drop_model(p: BallDropParams) -> RigidBodyModel:
         x = np.concatenate([q, qd])
         return np.array([float(_eval_input(p.u1, t, x)), float(_eval_input(p.u2, t, x))])
 
-    if p.e > 0.0:
-        mu_s = mu_k = 0.0
-    elif p.friction == "infinite-stick":
-        mu_s = mu_k = np.inf
-    else:
-        mu_s = mu_k = 0.0
+    mu = np.inf if p.e == 0.0 and p.friction == "infinite-stick" else 0.0
 
     return RigidBodyModel(
         m=m_cfg,
@@ -138,108 +138,73 @@ def _ball_drop_model(p: BallDropParams) -> RigidBodyModel:
         J_n=lambda q: jn,
         J_t=lambda q: jt,
         e=p.e,
-        mu_s=mu_s,
-        mu_k=mu_k,
+        mu_s=mu,
+        mu_k=mu,
     )
 
 
 def _ball_drop_system(p: BallDropParams) -> HybridSystem:
     s, c = np.sin(p.theta), np.cos(p.theta)
     m, a_g = p.mass, p.a_g
-    omega = np.array([[c * c, -s * c], [-s * c, s * s]])
 
-    def free_field(t, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty_like(x)
-        out[..., 0] = x[..., 2]
-        out[..., 1] = x[..., 3]
-        out[..., 2] = _eval_input(p.u1, t, x) / m
-        out[..., 3] = _eval_input(p.u2, t, x) / m - a_g
-        return out
+    def accel(t, x):
+        """Free acceleration a = (u1/m, u2/m - a_g), per row of x."""
+        return _eval_input(p.u1, t, x) / m, _eval_input(p.u2, t, x) / m - a_g
 
-    # d(q, qd)/dt = (qd, a) with a independent of the state unless an input is
-    # set; with an input, finite differences of the field give its Jacobian
-    kinematic_jac = np.zeros((4, 4))
-    kinematic_jac[0, 2] = 1.0
-    kinematic_jac[1, 3] = 1.0
+    # d(q, qd)/dt = (qd, P a) is linear in the state unless an input is set;
+    # with an input, finite differences of the field give its Jacobian
+    kinematic = np.zeros((4, 4))
+    kinematic[0, 2] = kinematic[1, 3] = 1.0
+    unforced = p.u1 is None and p.u2 is None
 
-    def kinematic(t, x):
-        return kinematic_jac
+    def mode(P: np.ndarray) -> VectorFieldSpec:
+        """Field whose acceleration is P applied to the free acceleration."""
+        (p11, p12), (p21, p22) = P.tolist()
 
-    field_jac = kinematic if p.u1 is None and p.u2 is None else None
+        def f(t, x):
+            x = np.asarray(x, dtype=float)
+            a1, a2 = accel(t, x)
+            out = np.empty_like(x)
+            out[..., 0] = x[..., 2]
+            out[..., 1] = x[..., 3]
+            out[..., 2] = p11 * a1 + p12 * a2
+            out[..., 3] = p21 * a1 + p22 * a2
+            return out
 
-    def slide_field(t, x):
-        x = np.asarray(x, dtype=float)
-        u1 = _eval_input(p.u1, t, x)
-        u2 = _eval_input(p.u2, t, x)
-        out = np.empty_like(x)
-        out[..., 0] = x[..., 2]
-        out[..., 1] = x[..., 3]
-        out[..., 2] = (c * c * u1 - s * c * u2) / m + a_g * s * c
-        out[..., 3] = (-s * c * u1 + s * s * u2) / m - a_g * s * s
-        return out
+        jac = (lambda t, x: kinematic) if unforced or not P.any() else None
+        return VectorFieldSpec(dim=4, f=f, jac_x=jac)
 
-    def stick_field(t, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        out[..., 0] = x[..., 2]
-        out[..., 1] = x[..., 3]
-        return out
+    def impact(W: np.ndarray) -> TransitionSpec:
+        reset = np.eye(4)
+        reset[2:, 2:] = W
+        return TransitionSpec(0, 1, linear_guard(np.array([s, c, 0.0, 0.0])),
+                              affine_reset(reset, np.zeros(4)))
 
-    def normal_force(t, x):
-        x = np.asarray(x, dtype=float)
-        u1 = _eval_input(p.u1, t, x)
-        u2 = _eval_input(p.u2, t, x)
-        return m * a_g * c - s * u1 - c * u2
+    def apex(src: int) -> TransitionSpec:
+        return TransitionSpec(src, 0, linear_guard(np.array([0.0, 0.0, s, c])), identity_reset(4))
 
-    impact_guard = linear_guard(np.array([s, c, 0.0, 0.0]))
-    apex_guard = linear_guard(np.array([0.0, 0.0, s, c]))
-    liftoff_guard = GuardSpec(g=normal_force)
-
-    dim = 4
-    free = VectorFieldSpec(dim=dim, f=free_field, jac_x=field_jac)
-    slide = VectorFieldSpec(dim=dim, f=slide_field, jac_x=field_jac)
-    stick = VectorFieldSpec(dim=dim, f=stick_field, jac_x=kinematic)
-
-    def blockdiag_reset(vel_block: np.ndarray) -> ResetSpec:
-        mat = np.zeros((4, 4))
-        mat[:2, :2] = np.eye(2)
-        mat[2:, 2:] = vel_block
-        return affine_reset(mat, np.zeros(4))
-
+    free = mode(np.eye(2))
     if p.e > 0.0:
         w_e = np.eye(2) - (1.0 + p.e) * np.array([[s * s, s * c], [s * c, c * c]])
-        modes = (free, free)
-        transitions = (
-            TransitionSpec(0, 1, impact_guard, blockdiag_reset(w_e)),
-            TransitionSpec(1, 0, apex_guard, identity_reset(dim)),
-        )
-        mode_names = ("U", "V")
-        transition_names = ("U->V", "V->U")
-    elif p.friction == "infinite-stick":
-        modes = (free, stick, free)
-        transitions = (
-            TransitionSpec(0, 1, impact_guard, blockdiag_reset(np.zeros((2, 2)))),
-            TransitionSpec(1, 2, liftoff_guard, identity_reset(dim)),
-            TransitionSpec(2, 0, apex_guard, identity_reset(dim)),
-        )
-        mode_names = ("U", "C", "V")
-        transition_names = ("U->C", "C->V", "V->U")
-    else:
-        modes = (free, slide, free)
-        transitions = (
-            TransitionSpec(0, 1, impact_guard, blockdiag_reset(omega)),
-            TransitionSpec(1, 2, liftoff_guard, identity_reset(dim)),
-            TransitionSpec(2, 0, apex_guard, identity_reset(dim)),
-        )
-        mode_names = ("U", "S", "V")
-        transition_names = ("U->S", "S->V", "V->U")
+        return HybridSystem(modes=(free, free), transitions=(impact(w_e), apex(1)),
+                            mode_names=("U", "V"), transition_names=("U->V", "V->U"))
+
+    # a plastic impact maps qd by M^dagger M = P, the projector of the contact
+    # mode it lands in; that mode's acceleration is P applied to the free one
+    tag, P = ("C", np.zeros((2, 2))) if p.friction == "infinite-stick" else (
+        "S", np.array([[c * c, -s * c], [-s * c, s * s]]))
+
+    def liftoff(t, x):
+        """Normal force m a_g c - s u1 - c u2, through the free acceleration."""
+        a1, a2 = accel(t, x)
+        return -m * (s * a1 + c * a2)
 
     return HybridSystem(
-        modes=modes,
-        transitions=transitions,
-        mode_names=mode_names,
-        transition_names=transition_names,
+        modes=(free, mode(P), free),
+        transitions=(impact(P), TransitionSpec(1, 2, GuardSpec(g=liftoff), identity_reset(4)),
+                     apex(2)),
+        mode_names=("U", tag, "V"),
+        transition_names=(f"U->{tag}", f"{tag}->V", "V->U"),
     )
 
 
@@ -308,57 +273,37 @@ def _need(doc: dict, key: str, path: str):
     return doc[key]
 
 
-def _as_matrix(obj, path: str, rows: int, cols: int) -> np.ndarray:
+def _as_array(obj, path: str, shape: tuple[int, ...]) -> np.ndarray:
+    kind = "matrix" if len(shape) == 2 else "vector"
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError):
-        raise SchemaError(path, "expected a numeric matrix") from None
-    if arr.shape != (rows, cols):
-        raise SchemaError(path, f"expected shape ({rows}, {cols}), got {arr.shape}")
+        raise SchemaError(path, f"expected a numeric {kind}") from None
+    if arr.shape != shape:
+        want = f"shape {shape}" if len(shape) == 2 else f"length {shape[0]}"
+        raise SchemaError(path, f"expected {want}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise SchemaError(path, "matrix entries must be finite")
-    return arr
-
-
-def _as_vector(obj, path: str, n: int) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaError(path, "expected a numeric vector") from None
-    if arr.shape != (n,):
-        raise SchemaError(path, f"expected length {n}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(path, "vector entries must be finite")
+        raise SchemaError(path, f"{kind} entries must be finite")
     return arr
 
 
 def load_affine(source: Union[str, Path, dict]) -> HybridSystem:
     """Build a hybrid system from the portable affine JSON description.
 
-    source may be a parsed dict, a JSON string, or a path to a JSON file.
+    source is the parsed document (a dict), a file (a Path, or a string that
+    does not start with '{' or '['), or else JSON text.
     Affine modes dx/dt = A x + c, guards w . x + b + a t, resets M x + r.
     Raises SchemaError with a JSON-pointer-style path on any defect.
     """
     if isinstance(source, dict):
         doc = source
     else:
-        text = None
-        stripped = str(source).lstrip()
-        candidate = Path(str(source))
-        if stripped.startswith(("{", "[")) and not isinstance(source, Path):
-            looks_like_file = False
-        else:
+        text = str(source)
+        if isinstance(source, Path) or not text.lstrip().startswith(("{", "[")):
             try:
-                looks_like_file = candidate.exists()
-            except OSError:
-                looks_like_file = False
-        if isinstance(source, Path) or candidate.suffix == ".json" or looks_like_file:
-            try:
-                text = candidate.read_text()
-            except OSError as exc:
-                raise SchemaError(str(source), f"cannot read file: {exc}") from None
-        else:
-            text = str(source)
+                text = Path(source).read_text()
+            except (OSError, ValueError) as exc:  # ValueError: a NUL in the name
+                raise SchemaError(text, f"cannot read file: {exc}") from None
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -382,8 +327,8 @@ def load_affine(source: Union[str, Path, dict]) -> HybridSystem:
         dim = _need(mdoc, "dim", path)
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise SchemaError(f"{path}/dim", "must be a positive integer")
-        A = _as_matrix(_need(mdoc, "A", path), f"{path}/A", dim, dim)
-        c = _as_vector(_need(mdoc, "c", path), f"{path}/c", dim)
+        A = _as_array(_need(mdoc, "A", path), f"{path}/A", (dim, dim))
+        c = _as_array(_need(mdoc, "c", path), f"{path}/c", (dim,))
         modes.append(affine_field(A, c))
         name = mdoc.get("name", f"mode{i}")
         if not isinstance(name, str):
@@ -409,7 +354,7 @@ def load_affine(source: Union[str, Path, dict]) -> HybridSystem:
         gdoc = _need(tdoc, "guard", path)
         if not isinstance(gdoc, dict):
             raise SchemaError(f"{path}/guard", "guard must be an object")
-        w = _as_vector(_need(gdoc, "normal", f"{path}/guard"), f"{path}/guard/normal", n_src)
+        w = _as_array(_need(gdoc, "normal", f"{path}/guard"), f"{path}/guard/normal", (n_src,))
         b = gdoc.get("offset", 0.0)
         a = gdoc.get("time_coeff", 0.0)
         for label, val in (("offset", b), ("time_coeff", a)):
@@ -418,14 +363,12 @@ def load_affine(source: Union[str, Path, dict]) -> HybridSystem:
         two_sided = gdoc.get("two_sided", False)
         if not isinstance(two_sided, bool):
             raise SchemaError(f"{path}/guard/two_sided", "must be a boolean")
-        guard = linear_guard(w, float(b), float(a))
-        if two_sided:
-            guard = GuardSpec(g=guard.g, jac_x=guard.jac_x, jac_t=guard.jac_t, two_sided=True)
+        guard = replace(linear_guard(w, float(b), float(a)), two_sided=two_sided)
         rdoc = _need(tdoc, "reset", path)
         if not isinstance(rdoc, dict):
             raise SchemaError(f"{path}/reset", "reset must be an object")
-        M = _as_matrix(_need(rdoc, "M", f"{path}/reset"), f"{path}/reset/M", n_dst, n_src)
-        r = _as_vector(rdoc.get("b", np.zeros(n_dst)), f"{path}/reset/b", n_dst)
+        M = _as_array(_need(rdoc, "M", f"{path}/reset"), f"{path}/reset/M", (n_dst, n_src))
+        r = _as_array(rdoc.get("b", np.zeros(n_dst)), f"{path}/reset/b", (n_dst,))
         transitions.append(TransitionSpec(src, dst, guard, affine_reset(M, r)))
         name = tdoc.get("name", f"t{i}")
         if not isinstance(name, str):

@@ -151,6 +151,9 @@ class _OneRow:
         deriv = gd.grad_t(t, x) + float(grad @ np.asarray(f(t, x), dtype=float))
         return np.array([np.linalg.norm(grad)]), np.array([deriv])
 
+    def agree(self, fn, t, X, out, what):
+        """The result of a one-row call is its own row 0: nothing to check."""
+
 
 class _Stack:
     """Calls fields, guards and resets once on a whole (N, n) stack."""
@@ -193,6 +196,21 @@ class _Stack:
             raise _NotBroadcast("guard derivatives do not broadcast" + self.hint) from exc
         deriv = g_t + np.einsum("ij,ij->i", grad, self.field(f, t, X))
         return np.linalg.norm(grad, axis=1), deriv
+
+    def agree(self, fn, t, X, out, what):
+        """Raise _NotBroadcast unless fn on row 0 alone, as a 1-D state with
+        a float time, gives row 0 of its stacked result `out`.
+
+        A callable written for one state can return a wrong (N, n) array
+        without raising when N == n (x @ A.T read as A @ x). Rounding of a
+        product inside a larger matrix differs by a few ulp, far below the
+        tolerance; NaN never trips it, so non-finite states reach their own
+        check.
+        """
+        one = np.asarray(fn(_float(t), X[0]), dtype=float)
+        if one.shape != out.shape[1:] or (
+                np.abs(one - out[0]).max() > 1e-9 * max(np.abs(one).max(), np.abs(out[0]).max())):
+            raise _NotBroadcast(f"{what} on a stack disagrees with its one-row call{self.hint}")
 
 
 _ONE_ROW = _OneRow()
@@ -244,9 +262,10 @@ class _Brackets(NamedTuple):
 
 
 def _check_field(rows, f, t, X: np.ndarray, what: str) -> None:
-    shape = rows.field(f, t, X).shape
-    if shape != X.shape:
-        raise rows.error(f"{what} returned shape {shape[1:]}, expected ({X.shape[1]},){rows.hint}")
+    out = rows.field(f, t, X)
+    if out.shape != X.shape:
+        raise rows.error(f"{what} returned shape {out.shape[1:]}, expected ({X.shape[1]},){rows.hint}")
+    rows.agree(f, t, X, out, what)
 
 
 def _segment(rows, sys: HybridSystem, mode: ModeId, t, X: np.ndarray, t_max: float,
@@ -513,6 +532,7 @@ def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, 
             if x_plus.shape != (sub.size, dim):
                 raise rows.error(f"reset of transition {idx} returned shape {x_plus.shape[1:]}, "
                                  f"expected ({dim},){rows.hint}")
+            rows.agree(tr.reset.r, t_e[sub], x_minus[sub], x_plus, f"reset of transition {idx}")
             if not np.isfinite(x_plus).all():
                 r = _first(~np.isfinite(x_plus).all(axis=1))
                 raise NonFiniteState(f"non-finite reset state at t={t_e[sub][r]}")

@@ -26,6 +26,10 @@ def _tagged_states(theta, rng):
     (sl.BallDropParams(theta=0.3, e=0.6), ("U", "V")),
     (sl.BallDropParams(theta=0.0, u1=lambda t, x: 0.2 * t,
                        u2=lambda t, x: 0.5 + 0.1 * x[..., 0]), ("U", "S", "V")),
+    (sl.BallDropParams(theta=0.3, friction="infinite-stick", u1=lambda t, x: 0.2 * t,
+                       u2=lambda t, x: 0.5 + 0.1 * x[..., 0]), ("U", "C", "V")),
+    (sl.BallDropParams(theta=0.3, e=0.6, u1=lambda t, x: 0.2 * t,
+                       u2=lambda t, x: 0.5 + 0.1 * x[..., 0]), ("U", "V")),
 ])
 def test_system_fields_match_rigid_body_dynamics(params, tags):
     model, sys_ = sl.ball_drop(params)
@@ -37,6 +41,24 @@ def test_system_fields_match_rigid_body_dynamics(params, tags):
         f_sys = sys_.modes[i].f(0.7, x)
         f_model = sl.mode_dynamics(model, tag, 0.7, x)
         np.testing.assert_allclose(f_sys, f_model, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("friction,tag", [("frictionless-slide", "S"), ("infinite-stick", "C")])
+def test_liftoff_guard_is_the_rigid_body_normal_force(friction, tag):
+    params = sl.BallDropParams(theta=0.3, mass=1.7, friction=friction,
+                               u1=lambda t, x: 0.4 - 0.3 * t * x[..., 2],
+                               u2=lambda t, x: 2.0 + 0.5 * x[..., 0])
+    model, sys_ = sl.ball_drop(params)
+    assert sys_.transition_names[1] == f"{tag}->V"
+    guard = sys_.transitions[1].guard
+    s, c = np.sin(params.theta), np.cos(params.theta)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        q = rng.uniform(-1.0, 1.0) * np.array([c, -s])
+        x = np.concatenate([q, rng.uniform(0.5, 2.0) * np.array([c, -s])])
+        t = rng.uniform(0.0, 2.0)
+        force = sl.constraint_forces(model, tag, t, x)[0]
+        assert guard.value(t, x) == pytest.approx(force, rel=0, abs=1e-9)
 
 
 @pytest.mark.parametrize("params,target", [
@@ -199,6 +221,16 @@ def test_load_affine_rejects_malformed_json_text():
         sl.load_affine("{not json")
     with pytest.raises(SchemaError):
         sl.load_affine("[1, 2, 3]")
+
+
+def test_load_affine_reads_any_other_string_as_a_file(tmp_path):
+    path = tmp_path / "flow.txt"
+    path.write_text(json.dumps(_affine_doc()))
+    assert sl.load_affine(str(path)).mode_names == ("before", "after")
+    missing = str(tmp_path / "absent")
+    with pytest.raises(SchemaError) as info:
+        sl.load_affine(missing)
+    assert info.value.path == missing
 
 
 def test_builtin_parameter_validation():

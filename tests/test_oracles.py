@@ -370,6 +370,35 @@ def test_monte_carlo_runs_fields_that_do_not_broadcast_one_row_at_a_time():
     assert sl.monte_carlo_covariance(*args, n_samples=8).shape == (4, 4)
 
 
+def _field_for_one_state():
+    A = np.array([[0.0, 1.0], [-2.0, -0.3]])
+    one_state = sl.VectorFieldSpec(dim=2, f=lambda t, x: A @ x)
+    return ((sl.HybridSystem(modes=(one_state,), transitions=()),
+             sl.HybridSystem(modes=(sl.affine_field(A, np.zeros(2)),), transitions=())),
+            np.array([1.0, 0.0]), 1e-2 * np.eye(2), (0.0, 1.0), 0)
+
+
+def _reset_for_one_state():
+    R = np.array([[1.0, 0.0], [0.0, -0.5]])
+    ball = sl.bouncing_ball(e=0.5)
+    tr = ball.transitions[0]
+    one_state = sl.ResetSpec(r=lambda t, x: R @ x)
+    return ((sl.HybridSystem(modes=ball.modes,
+                             transitions=(sl.TransitionSpec(0, 0, tr.guard, one_state),)),
+             ball),
+            np.array([1.0, 0.0]), 1e-6 * np.eye(2), (0.0, 0.6), 1)
+
+
+@pytest.mark.parametrize("case", [_field_for_one_state, _reset_for_one_state])
+def test_monte_carlo_with_as_many_samples_as_states_detects_one_state_callables(case):
+    # on a (2, 2) stack, A @ x returns a (2, 2) array without raising: the
+    # row-0 probe must catch it, or the result silently mixes the two rows
+    (one_state, twin), mean0, sigma0, span, seed = case()
+    got = sl.monte_carlo_covariance(one_state, 0, mean0, sigma0, span, n_samples=2, seed=seed)
+    want = sl.monte_carlo_covariance(twin, 0, mean0, sigma0, span, n_samples=2, seed=seed)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("n_samples", [0, 1])
 def test_monte_carlo_needs_two_samples(n_samples):
     with pytest.raises(ValueError, match="n_samples >= 2"):
