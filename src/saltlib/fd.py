@@ -21,8 +21,8 @@ def _steps(x: np.ndarray) -> np.ndarray:
 def jac_x(f: Callable[[float, np.ndarray], np.ndarray], t: float, x: np.ndarray) -> np.ndarray:
     """Jacobian of f(t, x) in x; shape (len(f), len(x)), or (len(x),) for a scalar f.
 
-    For a stack of rows x (N, n) and a scalar f that broadcasts over it, one
-    gradient per row, shape (N, n).
+    For a stack of rows x (N, n) and an f that broadcasts over it, one
+    Jacobian per row: shape (N, len(f), n), or (N, n) for a scalar f.
     """
     x = np.asarray(x, dtype=float)
     h = _steps(x)
@@ -30,8 +30,9 @@ def jac_x(f: Callable[[float, np.ndarray], np.ndarray], t: float, x: np.ndarray)
     for i in range(x.shape[-1]):
         e = np.zeros_like(x)
         e[..., i] = h[..., i]
-        cols.append((np.asarray(f(t, x + e), dtype=float) - np.asarray(f(t, x - e), dtype=float))
-                    / (2.0 * h[..., i]))
+        diff = np.asarray(f(t, x + e), dtype=float) - np.asarray(f(t, x - e), dtype=float)
+        h_i = h[..., i]
+        cols.append(diff / (2.0 * (h_i[..., None] if diff.ndim > h_i.ndim else h_i)))
     return np.stack(cols, axis=-1)
 
 

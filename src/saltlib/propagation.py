@@ -6,7 +6,15 @@ z = (x, vec M) with z' = (f(t, x), D_x f(t, x) M). Across events the saltation
 matrix applies.
 A trajectory is linearized on its own sample grid: one flow matrix per
 sample interval (subdivided only where an interval is wider than `step`) and
-one saltation matrix per event. Fundamental and monodromy matrices,
+one saltation matrix per event. Each interval starts from a recorded state,
+so a segment's intervals are independent: they are integrated as one stack
+of rows z, one RK4 pass per group of intervals with the same substep count,
+with the field and its Jacobian called on the (K, n) stack of interval
+starts and (K,) times. The first stage of each group compares row 0 (and,
+for a Jacobian that returns one (n, n) matrix, the last row) with a one-row
+call; a segment whose callables fail on the stack or disagree is integrated
+one interval at a time instead, through the same code. `variational_flow` is
+that one-interval case. Fundamental and monodromy matrices,
 covariance push-forwards and the backward Riccati pass are folds over that
 linearization, and they share it: `_linearize` keeps the most recent one (one
 entry in total), keyed by the system's identity, `step` and the content of
@@ -26,9 +34,10 @@ import numpy as np
 
 from .errors import NonFiniteState, NotPeriodic, SingularInputPenalty
 from .saltation import SaltationResult, saltation_matrix
-from .simulate import DEFAULT_STEP, _substeps, rk4_step
+from .simulate import (DEFAULT_STEP, _ONE_ROW, _STACK, _check_field, _check_jacobian, _first,
+                       _float, _NotBroadcast, _rk4_steps, _substep_groups, _take, rk4_step)
 from .system import HybridSystem, ModeId
-from .trajectory import HybridTrajectory
+from .trajectory import HybridTrajectory, Segment
 
 TOL_STAB = 1e-9
 
@@ -37,35 +46,74 @@ PSD_TOL = 1e-10
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _flows(rows, sys: HybridSystem, mode: ModeId, t0, X0: np.ndarray, t1,
+           step: float) -> np.ndarray:
+    """Flow matrices (K, n, n) of the intervals [t0, t1] of one mode, each
+    around the orbit from its row of X0 (K, n): RK4 on z = (x, vec M) under
+    z' = (f(t, x), D_x f(t, x) M), from M = I, in substeps of at most `step`.
+    t0 and t1 are per-row (K,) arrays, or floats when K is 1.
+
+    With _STACK the field and Jacobian see the (K, n) stack of states with
+    (K,) times; the first stage of each substep group checks them against
+    one-row calls and raises _NotBroadcast where they disagree. With
+    _ONE_ROW, K is 1 and they see a 1-D state and a float time.
+    """
+    field = sys.modes[mode]
+    n = field.dim
+    Z = np.zeros((X0.shape[0], n + n * n))
+    Z[:, :n] = X0
+    Z[:, n::n + 1] = 1.0  # vec M = vec I
+    probe = True
+
+    def stage(t, z):
+        nonlocal probe
+        x, M = z[:, :n], z[:, n:].reshape(-1, n, n)
+        F = rows.field(field.f, t, x)
+        J = rows.jacobian(field, t, x)
+        if probe:
+            _check_field(rows, field.f, t, x, f"mode {mode} field", F)
+            _check_jacobian(rows, field.jacobian, t, x, f"mode {mode} Jacobian", J)
+            probe = False
+        dz = np.empty_like(z)
+        dz[:, :n] = F
+        np.matmul(J, M, out=dz[:, n:].reshape(-1, n, n))
+        return dz
+
+    for m, sel in _substep_groups(t0, t1, Z.shape[0], step):
+        probe = True
+        Z[sel] = _rk4_steps(rk4_step, stage, _take(t0, sel), Z[sel], _take(t1, sel), m)
+    bad = ~np.isfinite(Z).all(axis=1)
+    if bad.any():
+        i = _first(bad)
+        raise NonFiniteState(f"non-finite variational flow over [{_float(t0, i)}, "
+                             f"{_float(t1, i)}] in mode {mode}")
+    return Z[:, n:].reshape(-1, n, n).copy()
 
 
 def variational_flow(sys: HybridSystem, mode: ModeId, t0: float, x0: np.ndarray,
                      t1: float, step: float = DEFAULT_STEP) -> np.ndarray:
     """Linearized flow map A of one smooth mode over [t0, t1] around x0's orbit."""
-    field = sys.modes[mode]
-    n = field.dim
-    span = t1 - t0
-    if span == 0.0:
-        return np.eye(n)
-
-    def augmented(t, z):
-        x, M = z[:n], z[n:].reshape(n, n)
-        return np.concatenate([field.f(t, x), (field.jacobian(t, x) @ M).ravel()])
-
-    z = np.concatenate([np.asarray(x0, dtype=float), np.eye(n).ravel()])
-    n_sub = _substeps(t0, t1, step)
-    h = span / n_sub
-    t = t0
-    for k in range(n_sub):
-        z = rk4_step(augmented, t, z, h)
-        t = t0 + (k + 1) * h
-    if not np.all(np.isfinite(z)):
-        raise NonFiniteState(f"non-finite variational flow over [{t0}, {t1}] in mode {mode}")
-    return z[n:].reshape(n, n)
+    return _flows(_ONE_ROW, sys, mode, float(t0), np.asarray(x0, dtype=float)[None],
+                  float(t1), step)[0]
 
 
-_Linearization = tuple[tuple[tuple[np.ndarray, ...], ...], tuple[np.ndarray, ...]]
+def _segment_flows(sys: HybridSystem, seg: Segment, step: float) -> np.ndarray:
+    """Flow matrices (K, n, n) of a segment's K sample intervals: one stacked
+    pass, or one interval at a time where the mode's callables do not
+    broadcast over the stack of interval starts."""
+    t, X = seg.times, seg.states
+    try:
+        return _flows(_STACK, sys, seg.mode, t[:-1], X[:-1], t[1:], step)
+    except _NotBroadcast:
+        ts = t.tolist()
+        return np.concatenate([_flows(_ONE_ROW, sys, seg.mode, ts[i], X[i:i + 1], ts[i + 1], step)
+                               for i in range(t.size - 1)])
+
+
+_Linearization = tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
 
 # (weak reference to the system, content key, linearization) of the last miss
 _memo: Optional[tuple[weakref.ref, tuple, _Linearization]] = None
@@ -77,8 +125,9 @@ def _content(a) -> tuple:
 
 
 def _linearize(sys: HybridSystem, traj: HybridTrajectory, step: float) -> _Linearization:
-    """One pass over a trajectory in order: per segment, the flow matrix of
-    every sample interval on the trajectory's own grid; per event, its Xi.
+    """One pass over a trajectory in order: per segment, the (K, n, n) flow
+    matrices of its K sample intervals on the trajectory's own grid; per
+    event, its Xi.
 
     The most recent result is kept, one in total, and returned again while
     the system is the same object and `step` and everything read from the
@@ -98,14 +147,9 @@ def _linearize(sys: HybridSystem, traj: HybridTrajectory, step: float) -> _Linea
     if memo is not None and memo[0]() is sys and memo[1] == key:
         return memo[2]
     _memo = None  # dropped first, so a miss never keeps two linearizations alive
-    flows = tuple(
-        tuple(variational_flow(sys, seg.mode, float(seg.times[i]), seg.states[i],
-                               float(seg.times[i + 1]), step)
-              for i in range(seg.times.size - 1))
-        for seg in traj.segments
-    )
+    flows = tuple(_segment_flows(sys, seg, step) for seg in traj.segments)
     xis = tuple(saltation_matrix(sys, ev).xi for ev in traj.events)
-    for a in (*(A for seg_flows in flows for A in seg_flows), *xis):
+    for a in (*flows, *xis):
         a.setflags(write=False)
     _memo = (weakref.ref(sys), key, (flows, xis))
     return flows, xis
@@ -204,14 +248,19 @@ def monodromy(sys: HybridSystem, traj: HybridTrajectory, tol_periodic: float = 1
     )
 
 
-def _check_sym_psd(mat: np.ndarray, label: str) -> None:
-    scale = max(1.0, float(np.abs(mat).max()))
-    asym = float(np.abs(mat - mat.T).max())
-    if asym > SYM_TOL * scale:
-        raise ValueError(f"{label} asymmetry {asym:.3e} exceeds {SYM_TOL}*scale")
-    min_eig = float(np.linalg.eigvalsh(_sym(mat)).min())
-    if min_eig < -PSD_TOL * scale:
-        raise ValueError(f"{label} min eigenvalue {min_eig:.3e} below -{PSD_TOL}*scale")
+def _check_sym_psd(mats: np.ndarray, label: str) -> None:
+    """Raise ValueError at the first matrix of a stack (K, n, n) that is not
+    symmetric, else not PSD, within tolerances relative to its own scale."""
+    scale = np.fmax(1.0, np.abs(mats).max(axis=(1, 2)))  # fmax: a NaN scale reads 1
+    asym = np.abs(mats - np.swapaxes(mats, 1, 2)).max(axis=(1, 2))
+    min_eig = np.linalg.eigvalsh(_sym(mats)).min(axis=1)
+    skew = asym > SYM_TOL * scale
+    bad = skew | (min_eig < -PSD_TOL * scale)
+    if bad.any():
+        i = _first(bad)
+        if skew[i]:
+            raise ValueError(f"{label} asymmetry {asym[i]:.3e} exceeds {SYM_TOL}*scale")
+        raise ValueError(f"{label} min eigenvalue {min_eig[i]:.3e} below -{PSD_TOL}*scale")
 
 
 def _require_square(mat: np.ndarray, name: str, sys: HybridSystem, mode: ModeId) -> None:
@@ -230,7 +279,7 @@ class CovarianceState:
     sigma: np.ndarray
 
     def __post_init__(self):
-        _check_sym_psd(self.sigma, "covariance")
+        _check_sym_psd(np.asarray(self.sigma)[None], "covariance")
 
 
 @dataclass(frozen=True)
@@ -242,13 +291,25 @@ class ValueState:
     p: np.ndarray
 
     def __post_init__(self):
-        _check_sym_psd(self.p, "value matrix")
+        _check_sym_psd(np.asarray(self.p)[None], "value matrix")
+
+
+def _prechecked(cls, **fields):
+    """An instance of a frozen dataclass built without its __post_init__
+    check, for values that one stacked check has already passed."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def propagate_covariance(sys: HybridSystem, traj: HybridTrajectory,
                          sigma0: np.ndarray, step: float = DEFAULT_STEP) -> list[CovarianceState]:
     """Push a covariance along a trajectory: A Sigma A^T in segments,
-    Xi Sigma Xi^T at events. One output per trajectory sample."""
+    Xi Sigma Xi^T at events. One output per trajectory sample.
+
+    The symmetric/PSD check of CovarianceState runs once per segment, on the
+    stack of its samples, and raises at the first sample that fails it."""
     sigma = np.asarray(sigma0, dtype=float)
     _require_square(sigma, "sigma0", sys, traj.segments[0].mode)
     flows, xis = _linearize(sys, traj, step)
@@ -257,10 +318,13 @@ def propagate_covariance(sys: HybridSystem, traj: HybridTrajectory,
     for k, (seg, seg_flows) in enumerate(zip(traj.segments, flows)):
         if k > 0:
             sigma = _sym(xis[k - 1] @ sigma @ xis[k - 1].T)
-        out.append(CovarianceState(t=float(seg.times[0]), mode=seg.mode, sigma=sigma.copy()))
-        for t1, A in zip(seg.times[1:], seg_flows):
+        sigmas = [sigma]
+        for A in seg_flows:
             sigma = _sym(A @ sigma @ A.T)
-            out.append(CovarianceState(t=float(t1), mode=seg.mode, sigma=sigma.copy()))
+            sigmas.append(sigma)
+        _check_sym_psd(np.stack(sigmas), "covariance")
+        out.extend(_prechecked(CovarianceState, t=t, mode=seg.mode, sigma=s)
+                   for t, s in zip(seg.times.tolist(), sigmas))
     return out
 
 

@@ -117,8 +117,8 @@ class GuardBracket:
 # how the engine calls user code: on one row's 1-D state, or on a stack
 
 
-def _float(t) -> float:
-    return float(t[0]) if isinstance(t, np.ndarray) else float(t)
+def _float(t, row: int = 0) -> float:
+    return float(t[row]) if isinstance(t, np.ndarray) else float(t)
 
 
 class _NotBroadcast(ValueError):
@@ -126,8 +126,8 @@ class _NotBroadcast(ValueError):
 
 
 class _OneRow:
-    """Calls fields, guards and resets on the only row of a (1, n) stack,
-    as a 1-D state with a float time, so callables need not broadcast."""
+    """Calls fields, Jacobians, guards and resets on the only row of a (1, n)
+    stack, as a 1-D state with a float time, so callables need not broadcast."""
 
     hint = ""
     error = ValueError
@@ -145,18 +145,21 @@ class _OneRow:
     def reset(self, rs, t, X):
         return rs.apply(_float(t), X[0])[None]
 
+    def jacobian(self, field, t, X):
+        return np.asarray(field.jacobian(_float(t), X[0]), dtype=float)[None]
+
     def slope(self, gd, f, t, X):
         t, x = _float(t), X[0]
         grad = gd.grad_x(t, x)
         deriv = gd.grad_t(t, x) + float(grad @ np.asarray(f(t, x), dtype=float))
         return np.array([np.linalg.norm(grad)]), np.array([deriv])
 
-    def agree(self, fn, t, X, out, what):
+    def agree(self, fn, t, X, out, what, row=0):
         """The result of a one-row call is its own row 0: nothing to check."""
 
 
 class _Stack:
-    """Calls fields, guards and resets once on a whole (N, n) stack."""
+    """Calls fields, Jacobians, guards and resets once on a whole (N, n) stack."""
 
     hint = ("; a batched rollout needs fields, guards and resets that broadcast "
             "over a leading row axis")
@@ -186,6 +189,12 @@ class _Stack:
         except Exception as exc:
             raise _NotBroadcast("reset does not broadcast" + self.hint) from exc
 
+    def jacobian(self, field, t, X):
+        try:
+            return np.asarray(field.jacobian(t, X), dtype=float)
+        except Exception as exc:
+            raise _NotBroadcast("Jacobian does not broadcast" + self.hint) from exc
+
     def slope(self, gd, f, t, X):
         try:
             grad = gd.jac_x(t, X) if gd.jac_x is not None else fd.jac_x(gd.g, t, X)
@@ -197,9 +206,10 @@ class _Stack:
         deriv = g_t + np.einsum("ij,ij->i", grad, self.field(f, t, X))
         return np.linalg.norm(grad, axis=1), deriv
 
-    def agree(self, fn, t, X, out, what):
-        """Raise _NotBroadcast unless fn on row 0 alone, as a 1-D state with
-        a float time, gives row 0 of its stacked result `out`.
+    def agree(self, fn, t, X, out, what, row=0):
+        """Raise _NotBroadcast unless fn on one row alone (row 0 by default),
+        as a 1-D state with a float time, gives that row of its stacked
+        result `out`.
 
         A callable written for one state can return a wrong (N, n) array
         without raising when N == n (x @ A.T read as A @ x). Rounding of a
@@ -207,9 +217,9 @@ class _Stack:
         tolerance; NaN never trips it, so non-finite states reach their own
         check.
         """
-        one = np.asarray(fn(_float(t), X[0]), dtype=float)
+        one = np.asarray(fn(_float(t, row), X[row]), dtype=float)
         if one.shape != out.shape[1:] or (
-                np.abs(one - out[0]).max() > 1e-9 * max(np.abs(one).max(), np.abs(out[0]).max())):
+                np.abs(one - out[row]).max() > 1e-9 * max(np.abs(one).max(), np.abs(out[row]).max())):
             raise _NotBroadcast(f"{what} on a stack disagrees with its one-row call{self.hint}")
 
 
@@ -261,11 +271,32 @@ class _Brackets(NamedTuple):
     sign: np.ndarray
 
 
-def _check_field(rows, f, t, X: np.ndarray, what: str) -> None:
-    out = rows.field(f, t, X)
+def _check_field(rows, f, t, X: np.ndarray, what: str, out: Optional[np.ndarray] = None) -> None:
+    """Check a field's result `out` on the rows X (evaluated here if not given):
+    its shape, and on a stack its row 0 against a one-row call."""
+    out = rows.field(f, t, X) if out is None else out
     if out.shape != X.shape:
         raise rows.error(f"{what} returned shape {out.shape[1:]}, expected ({X.shape[1]},){rows.hint}")
     rows.agree(f, t, X, out, what)
+
+
+def _check_jacobian(rows, jac, t, X: np.ndarray, what: str, out: np.ndarray) -> None:
+    """Check a Jacobian's result `out` on the rows X: one (n, n) matrix per
+    row, or on a stack one (n, n) matrix for all rows.
+
+    On a stack, row 0 is compared with a one-row call, and a single matrix
+    also with a one-row call on the last row: a Jacobian written for one
+    state, such as J0 - cos(x[0]) * E, returns one (n, n) matrix on a stack
+    without raising.
+    """
+    n_rows, n = X.shape
+    if out.shape == (n, n):  # a one-row call's result is (1, n, n)
+        out = np.broadcast_to(out, (n_rows, n, n))
+        if n_rows > 1:
+            rows.agree(jac, t, X, out, what, row=n_rows - 1)
+    elif out.shape != (n_rows, n, n):
+        raise rows.error(f"{what} returned shape {out.shape[1:]}, expected ({n}, {n}){rows.hint}")
+    rows.agree(jac, t, X, out, what)
 
 
 def _segment(rows, sys: HybridSystem, mode: ModeId, t, X: np.ndarray, t_max: float,
@@ -566,25 +597,41 @@ def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, 
     return X_f, code
 
 
-def _flow_rows(rows, f, t0, X: np.ndarray, t1: float, step: float) -> np.ndarray:
-    """flow_to on each row of a stack, from the rows' shared t0 or their own
-    (N,) start times to t1.
+def _substep_groups(t0, t1, n_rows: int, step: float) -> list:
+    """(m, rows) per group of rows that take m RK4 substeps from t0 to t1,
+    by increasing m; t0 and t1 are shared floats or (n_rows,) arrays, and
+    rows is a row mask, or slice(None) when the group holds every row.
 
     Rows with the same substep count step together, each with its own h, so
-    a row's substeps and times do not depend on the other rows.
+    a row's substeps and times do not depend on the other rows. A row whose
+    span is zero takes no step and is in no group.
     """
+    t0 = t0.tolist() if isinstance(t0, np.ndarray) else [t0] * n_rows
+    t1 = t1.tolist() if isinstance(t1, np.ndarray) else [t1] * n_rows
+    n_sub = np.array([_substeps(a, b, step) if a != b else 0 for a, b in zip(t0, t1)], dtype=int)
+    counts = sorted(set(n_sub.tolist()) - {0})
+    if len(counts) == 1 and n_sub.min() > 0:
+        return [(counts[0], slice(None))]
+    return [(m, n_sub == m) for m in counts]
+
+
+def _rk4_steps(rk4, f, t_a, x: np.ndarray, t_b, m: int) -> np.ndarray:
+    """m equal RK4 steps of rk4(f, t, x, h) from t_a to t_b (floats or per-row arrays)."""
+    h = (t_b - t_a) / m
+    t = t_a
+    for k in range(m):
+        x = rk4(f, t, x, h)
+        t = t_a + (k + 1) * h
+    return x
+
+
+def _flow_rows(rows, f, t0, X: np.ndarray, t1: float, step: float) -> np.ndarray:
+    """flow_to on each row of a stack, from the rows' shared t0 or their own
+    (N,) start times to t1."""
     X = np.array(X, dtype=float)
     _check_field(rows, f, t0, X, "field")
-    n_sub = np.array([_substeps(a, t1, step) if a != t1 else 0 for a in _per_row(t0, X.shape[0])])
-    for m in sorted(set(n_sub.tolist()) - {0}):
-        sel = n_sub == m
-        t_a = _take(t0, sel)
-        h = (t1 - t_a) / m
-        x, t = X[sel], t_a
-        for k in range(m):
-            x = rows.rk4(f, t, x, h)
-            t = t_a + (k + 1) * h
-        X[sel] = x
+    for m, sel in _substep_groups(t0, t1, X.shape[0], step):
+        X[sel] = _rk4_steps(rows.rk4, f, _take(t0, sel), X[sel], t1, m)
     return X
 
 

@@ -6,13 +6,16 @@ value crosses zero from the positive side (g > 0 is the domain interior);
 resets map the pre-event state into the target mode's state space.
 
 Every evaluator takes (t, x). The scalar paths (`simulate`, saltation,
-propagation) pass a 1-D float state and a float time. The batched engine
-behind `oracles.monte_carlo_covariance` and `oracles.numeric_saltation`
+`variational_flow`) pass a 1-D float state and a float time. The batched
+engine behind `oracles.monte_carlo_covariance` and `oracles.numeric_saltation`
 passes a stack of rows (N, n), with a float time while the rows share one and
-an (N,) array of times otherwise; a callable that does not broadcast over the
-leading row axis makes those oracles run one row at a time (README
-"Simulation semantics"). Analytic Jacobians are optional on every spec;
-central finite differences fill in when absent.
+an (N,) array of times otherwise. Propagation's linearization passes a mode's
+field and Jacobian the (K, n) stack of a segment's interval starts with (K,)
+times; a Jacobian then returns (K, n, n), or one (n, n) matrix for all rows.
+A callable that does not broadcast over the leading row axis makes these
+paths run one row (or interval) at a time (README "Simulation semantics").
+Analytic Jacobians are optional on every spec; central finite differences
+fill in when absent, on 1-D states and on stacks alike.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import saltlib as sl
 from saltlib import propagation
 from saltlib.errors import NonFiniteState, NotPeriodic, SingularInputPenalty, TangentialEvent
 from saltlib.propagation import ValueState
+from saltlib.simulate import _STACK, _NotBroadcast
 
 G = 9.81
 T1 = np.sqrt(2.0 / G)
@@ -96,13 +97,39 @@ def test_fundamental_matrix_matches_finite_difference_flow_jacobian():
     assert float(np.abs(fd_jac - phi).max()) <= 1e-4 * max(1.0, float(np.abs(phi).max()))
 
 
+class _JacobianCalls:
+    """Jacobian calls of a counted system: `stacked` holds the row count
+    (np.size(t)) of each call on a stack of states (K, n), `one_row` the time
+    of each call on one 1-D state, such as the stacked pass's broadcast
+    probes."""
+
+    def __init__(self):
+        self.stacked, self.one_row = [], []
+
+    def clear(self):
+        self.stacked.clear()
+        self.one_row.clear()
+
+    @property
+    def rows(self) -> int:
+        """States the stacked calls evaluated the Jacobian on."""
+        return sum(self.stacked)
+
+    @property
+    def calls(self) -> int:
+        return len(self.stacked) + len(self.one_row)
+
+
 def _counted(base):
-    """base with every mode's Jacobian appending its time to the returned list."""
-    calls = []
+    """base with every mode's Jacobian logging its calls to the returned _JacobianCalls."""
+    calls = _JacobianCalls()
 
     def counting(field):
         def jac(t, x):
-            calls.append(t)
+            if np.ndim(x) == 2:
+                calls.stacked.append(np.size(t))
+            else:
+                calls.one_row.append(t)
             return field.jacobian(t, x)
         return dataclasses.replace(field, jac_x=jac)
 
@@ -111,6 +138,10 @@ def _counted(base):
 
 def _intervals(traj):
     return sum(seg.times.size - 1 for seg in traj.segments)
+
+
+def _stacked_segments(traj):
+    return sum(seg.times.size > 1 for seg in traj.segments)
 
 
 def _three_folds(sys_, traj, cold=False):
@@ -128,26 +159,30 @@ def _three_folds(sys_, traj, cold=False):
 
 @pytest.mark.parametrize("t0", [0.0, 1e4])
 def test_linearization_takes_one_rk4_step_per_sample_interval(t0):
-    # each fold alone takes one RK4 step (4 Jacobian calls) per sample
-    # interval of the simulated grid, and the three folds in turn on one
-    # system share one linearization
+    # each fold alone takes one RK4 step per sample interval of the
+    # simulated grid: per segment, one stacked pass of 4 Jacobian calls on
+    # one row per interval, plus the broadcast probe's one-row calls on the
+    # first and last row (the bouncing ball's Jacobian is one constant
+    # matrix); the three folds in turn on one system share one linearization
     sys_, calls = _counted(sl.bouncing_ball(e=0.5))
     traj = sl.simulate(sys_, 0, np.array([1.0, 0.0]), (t0, t0 + 0.6))
-    intervals = _intervals(traj)
+    intervals, segments = _intervals(traj), _stacked_segments(traj)
+    assert all(seg.times.size > 2 for seg in traj.segments)
     folds = (
         lambda s: sl.fundamental_matrix(s, traj),
         lambda s: sl.propagate_covariance(s, traj, 1e-4 * np.eye(2)),
         lambda s: sl.hybrid_lqr_backward(s, traj, np.eye(2), np.eye(1),
                                          np.array([[0.0], [1.0]]), np.eye(2)),
     )
+    one_pass = (4 * intervals, 4 * segments, 2 * segments)
     for fold in folds:
         calls.clear()
         fold(dataclasses.replace(sys_))  # another system: a cold memo
-        assert len(calls) == 4 * intervals
+        assert (calls.rows, len(calls.stacked), len(calls.one_row)) == one_pass
     calls.clear()
     for fold in folds:
         fold(sys_)
-    assert len(calls) == 4 * intervals
+    assert (calls.rows, len(calls.stacked), len(calls.one_row)) == one_pass
 
 
 def _bounce_traj():
@@ -158,23 +193,24 @@ def _bounce_traj():
 def test_linearization_memo_misses_on_edited_states_step_and_system():
     sys_, calls, traj = _bounce_traj()
     intervals = _intervals(traj)
+    stacked = 4 * _stacked_segments(traj)
     sl.fundamental_matrix(sys_, traj)
     calls.clear()
     sl.fundamental_matrix(sys_, traj)
-    assert calls == []
+    assert calls.calls == 0
 
     traj.segments[0].states[3, 1] += 1e-3
     sl.fundamental_matrix(sys_, traj)
-    assert len(calls) == 4 * intervals
+    assert (calls.rows, len(calls.stacked)) == (4 * intervals, stacked)
 
     calls.clear()
     sl.fundamental_matrix(sys_, traj, step=2e-3)
-    assert len(calls) == 4 * intervals
+    assert (calls.rows, len(calls.stacked)) == (4 * intervals, stacked)
 
     calls.clear()
     phi = sl.fundamental_matrix(sys_, traj).phi
     other = sl.fundamental_matrix(dataclasses.replace(sys_), traj).phi
-    assert len(calls) == 2 * 4 * intervals
+    assert (calls.rows, len(calls.stacked)) == (2 * 4 * intervals, 2 * stacked)
     assert np.array_equal(phi, other)
 
 
@@ -185,7 +221,7 @@ def test_linearization_memo_holds_one_entry_and_returns_equal_results():
     _three_folds(sys_, traj_b)
     calls.clear()
     again = _three_folds(sys_, traj_a)
-    assert len(calls) == 4 * _intervals(traj_a)
+    assert calls.rows == 4 * _intervals(traj_a)
     _assert_folds_equal(first, again)
 
 
@@ -208,7 +244,7 @@ def test_linearization_failure_is_raised_on_every_call():
         calls.clear()
         with pytest.raises(TangentialEvent):
             sl.fundamental_matrix(sys_, grazing)
-        assert len(calls) == 4 * _intervals(grazing)
+        assert calls.rows == 4 * _intervals(grazing)
 
 
 def test_linearization_memo_arrays_are_read_only():
@@ -270,6 +306,155 @@ def test_warm_folds_equal_cold_folds_bit_for_bit(kind):
     _assert_folds_equal(_three_folds(sys_, traj, cold=True), _three_folds(sys_, traj))
 
 
+def _pendulum(jac):
+    """Damped, driven pendulum whose field broadcasts over a stack of states."""
+    def f(t, x):
+        return np.stack([x[..., 1], -np.sin(x[..., 0]) - 0.1 * x[..., 1] + 0.3 * np.cos(t)], axis=-1)
+
+    return _single_mode(sl.VectorFieldSpec(dim=2, f=f, jac_x=jac))
+
+
+def _pendulum_jacobian(t, x):
+    x = np.asarray(x, dtype=float)
+    J = np.empty(x.shape + (2,))
+    J[..., 0, 0], J[..., 0, 1] = 0.0, 1.0
+    J[..., 1, 0], J[..., 1, 1] = -np.cos(x[..., 0]), -0.1
+    return J
+
+
+def _stacked_systems():
+    systems = _memo_systems()
+    _, forced = sl.ball_drop(sl.BallDropParams(
+        theta=0.3, u1=lambda t, x: 0.7 * t - 0.4 * x[..., 0],
+        u2=lambda t, x: 0.5 + 0.3 * x[..., 3] - 2.0 * t))
+    systems["pendulum"] = (_pendulum(_pendulum_jacobian), np.array([1.2, 0.0]), 0.6)
+    systems["forced"] = (forced, np.array([0.0, 0.5, 0.3, 0.0]), 0.6)
+    return systems
+
+
+def _assert_flows_are_variational_flows(sys_, traj, flows):
+    for seg, seg_flows in zip(traj.segments, flows):
+        assert seg_flows.shape == (seg.times.size - 1,) + (sys_.dim(seg.mode),) * 2
+        for i, A in enumerate(seg_flows):
+            one = sl.variational_flow(sys_, seg.mode, seg.times[i], seg.states[i], seg.times[i + 1])
+            np.testing.assert_array_equal(A, one)
+
+
+@pytest.mark.parametrize("kind", ["slide", "bounce", "switch", "pendulum", "forced", "generic"])
+def test_stacked_linearization_equals_variational_flow_on_every_interval(kind):
+    # one stacked RK4 pass per segment gives each interval's flow bit for
+    # bit; the generic rigid-body fields reject a stack and fall back to one
+    # interval at a time, with the same result
+    sys_, x0, span = _stacked_systems()[kind]
+    traj = sl.simulate(sys_, 0, x0, (0.0, span))
+    assert kind == "pendulum" or traj.events
+    flows, _ = propagation._linearize(sys_, traj, 1e-3)
+    _assert_flows_are_variational_flows(sys_, traj, flows)
+    for seg in traj.segments:
+        stack = (_STACK, sys_, seg.mode, seg.times[:-1], seg.states[:-1], seg.times[1:], 1e-3)
+        if kind == "generic":
+            with pytest.raises(_NotBroadcast):
+                propagation._flows(*stack)
+        else:
+            propagation._flows(*stack)
+
+
+def test_stacked_linearization_falls_back_on_one_state_callables():
+    # a Jacobian written for one 1-D state that returns one (n, n) matrix on
+    # a stack: row 0 matches it, the last row does not
+    J0, E = np.array([[0.0, 1.0], [0.0, -0.1]]), np.array([[0.0, 0.0], [1.0, 0.0]])
+    sys_ = _pendulum(lambda t, x: J0 - np.cos(x[0]) * E)
+    traj = sl.simulate(sys_, 0, np.array([1.2, 0.0]), (0.0, 0.3))
+    seg = traj.segments[0]
+    with pytest.raises(_NotBroadcast, match="Jacobian on a stack disagrees"):
+        propagation._flows(_STACK, sys_, 0, seg.times[:-1], seg.states[:-1], seg.times[1:], 1e-3)
+    _assert_flows_are_variational_flows(sys_, traj, propagation._linearize(sys_, traj, 1e-3)[0])
+
+    # a field written for one state meets a stack of as many rows as states
+    A = np.array([[0.0, 1.0], [-2.0, -0.3]])
+    sys_ = _single_mode(sl.VectorFieldSpec(dim=2, f=lambda t, x: A @ x, jac_x=lambda t, x: A))
+    traj = sl.simulate(sys_, 0, np.array([1.0, -0.5]), (0.0, 2e-3))
+    assert traj.segments[0].times.size - 1 == 2
+    _assert_flows_are_variational_flows(sys_, traj, propagation._linearize(sys_, traj, 1e-3)[0])
+
+
+def test_stacked_linearization_reports_the_first_non_finite_interval():
+    # intervals of 2e-3 take two substeps at step 1e-3 and the last, short
+    # one takes one; the Jacobian turns NaN after t = 5e-3, so every later
+    # interval fails, and the error names the first, as one interval at a
+    # time in order does
+    A = np.array([[0.0, 1.0], [-2.0, -0.3]])
+
+    def jac(t, x):
+        return np.where(np.asarray(t)[..., None, None] > 5e-3, np.nan, A)
+
+    sys_ = _single_mode(sl.VectorFieldSpec(dim=2, f=lambda t, x: x @ A.T, jac_x=jac))
+    traj = sl.simulate(sys_, 0, np.array([1.0, -0.5]), (0.0, 0.0101), sl.SimOptions(step=2e-3))
+    seg = traj.segments[0]
+    assert seg.times[-1] - seg.times[-2] < 1e-3
+    expected = None
+    for i in range(seg.times.size - 1):
+        try:
+            sl.variational_flow(sys_, 0, seg.times[i], seg.states[i], seg.times[i + 1])
+        except NonFiniteState as exc:
+            expected = str(exc)
+            break
+    assert expected == "non-finite variational flow over [0.004, 0.006] in mode 0"
+    for _ in range(2):
+        with pytest.raises(NonFiniteState) as info:
+            sl.fundamental_matrix(sys_, traj)
+        assert str(info.value) == expected
+
+
+def _first_failing_sample(sys_, traj, sigma0):
+    """The ValueError of the first sample that fails CovarianceState's own
+    check, with the samples pushed forward one at a time."""
+    flows, xis = propagation._linearize(sys_, traj, 1e-3)
+    sigma = propagation._sym(sigma0)
+    for k, (seg, seg_flows) in enumerate(zip(traj.segments, flows)):
+        if k > 0:
+            sigma = propagation._sym(xis[k - 1] @ sigma @ xis[k - 1].T)
+        for i in range(seg.times.size):
+            if i > 0:
+                sigma = propagation._sym(seg_flows[i - 1] @ sigma @ seg_flows[i - 1].T)
+            try:
+                propagation.CovarianceState(t=float(seg.times[i]), mode=seg.mode, sigma=sigma)
+            except ValueError as exc:
+                return str(exc)
+    return None
+
+
+def test_covariance_check_raises_at_the_first_failing_sample():
+    sys_ = sl.bouncing_ball(e=0.5)
+    traj = sl.simulate(sys_, 0, np.array([1.0, 0.0]), (0.0, 0.6))
+    sigma0 = np.diag([1.0, -1.0])
+    message = _first_failing_sample(sys_, traj, sigma0)
+    assert message == "covariance min eigenvalue -1.000e+00 below -1e-10*scale"
+    with pytest.raises(ValueError) as info:
+        sl.propagate_covariance(sys_, traj, sigma0)
+    assert str(info.value) == message
+
+    # a negative direction within tolerance at t = 0 that the flow stretches
+    # past it near t = ln(2) / 2
+    sys_ = _single_mode(sl.affine_field(np.diag([-1.0, 1.0]), np.zeros(2)))
+    traj = sl.simulate(sys_, 0, np.zeros(2), (0.0, 0.6))
+    sigma0 = np.diag([1.0, -5e-11])
+    message = _first_failing_sample(sys_, traj, sigma0)
+    assert message is not None and message.startswith("covariance min eigenvalue -1.00")
+    with pytest.raises(ValueError) as info:
+        sl.propagate_covariance(sys_, traj, sigma0)
+    assert str(info.value) == message
+
+
+def test_fold_outputs_own_their_data():
+    sys_, _, traj = _bounce_traj()
+    fund, cov, lqr = _three_folds(sys_, traj)
+    outputs = [fund.phi, *(state.sigma for state in cov), *lqr.values, *lqr.gains]
+    assert all(a.base is None and a.flags.writeable for a in outputs)
+    flows, xis = propagation._linearize(sys_, traj, 1e-3)
+    assert all(a.base is None and not a.flags.writeable for a in (*flows, *xis))
+
+
 def test_fold_shapes_are_checked_before_linearizing():
     _, drop = sl.ball_drop(sl.BallDropParams(theta=0.3))
     sys_, calls = _counted(drop)
@@ -280,7 +465,7 @@ def test_fold_shapes_are_checked_before_linearizing():
     B = np.zeros((4, 2))
     with pytest.raises(ValueError, match=r"P_terminal has shape \(3, 3\), expected \(4, 4\)"):
         sl.hybrid_lqr_backward(sys_, traj, np.eye(4), np.eye(2), B, np.eye(3))
-    assert calls == []
+    assert calls.calls == 0
 
     sys_, calls = _counted(sl.bouncing_ball(e=0.5))
     traj = sl.simulate(sys_, 0, np.array([1.0, 0.0]), (0.0, 0.6))
@@ -295,7 +480,7 @@ def test_fold_shapes_are_checked_before_linearizing():
     for (Q, V, B_), message in cases:
         with pytest.raises(ValueError, match=message):
             sl.hybrid_lqr_backward(sys_, traj, Q, V, B_, np.eye(2))
-    assert calls == []
+    assert calls.calls == 0
 
 
 def test_monodromy_circle_orbit_is_marginal():

@@ -122,6 +122,33 @@ def test_fd_jacobian_of_a_scalar_on_a_stack_equals_its_rows():
             np.testing.assert_array_equal(stack[r], row)
 
 
+def test_fd_jacobian_of_a_vector_field_on_a_stack_equals_its_rows():
+    # a vector-valued f on an (N, n) stack gets one (len(f), n) Jacobian per
+    # row, the row's own bit for bit; the 1-D result is the plain central
+    # difference, column by column
+    def f(t, x):
+        return np.stack([x[..., 0] * np.sin(x[..., 1]), x[..., 2] ** 2 - t * x[..., 0],
+                         np.cos(t * x[..., 1]), x[..., 0] * x[..., 1] * x[..., 2]], axis=-1)
+
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((6, 3)) * np.array([1.0, 10.0, 1e3])
+    T = rng.uniform(-2.0, 2.0, 6)
+    for t in (0.4, T):
+        stack = fd.jac_x(f, t, X)
+        assert stack.shape == (6, 4, 3)
+        for r in range(6):
+            t_r = t if np.isscalar(t) else t[r]
+            row = fd.jac_x(f, t_r, X[r])
+            assert row.shape == (4, 3)
+            np.testing.assert_array_equal(stack[r], row)
+            h = np.maximum(fd.FD_STEP, fd.FD_STEP * np.abs(X[r]))
+            for i in range(3):
+                e = np.zeros(3)
+                e[i] = h[i]
+                col = (f(t_r, X[r] + e) - f(t_r, X[r] - e)) / (2.0 * h[i])
+                np.testing.assert_array_equal(row[:, i], col)
+
+
 @pytest.mark.parametrize("build", [
     lambda: sl.bouncing_ball(e=0.5),
     lambda: sl.ball_drop(sl.BallDropParams(theta=0.3))[1],
