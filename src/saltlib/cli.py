@@ -32,6 +32,7 @@ from .models import (
     ball_drop,
     bouncing_ball,
     constant_flow_two_mode,
+    field_switch,
     load_affine,
     slide_impact_saltation,
     stick_impact_saltation,
@@ -587,23 +588,8 @@ def _verify_checks(seed: int, mc_samples: int, step: float) -> list[dict]:
         "pass": frob <= 0.05,
     })
 
-    # 7: LQR cost optimality on a one-event field-switch benchmark; identity
-    # reset keeps equal-time trajectory comparison free of jump spikes while
-    # leaving the saltation and Riccati jump nontrivial
-    from .system import TransitionSpec, identity_reset, linear_guard
-
-    sys_sw = HybridSystem(
-        modes=(
-            affine_field(np.array([[0.0, 1.0], [-2.0, -0.3]]), np.array([0.0, 0.6])),
-            affine_field(np.array([[0.0, 1.0], [-1.0, -0.9]]), np.zeros(2)),
-        ),
-        transitions=(
-            TransitionSpec(0, 1, linear_guard(np.array([1.0, 0.0]), offset=0.1),
-                           identity_reset(2)),
-        ),
-        mode_names=("pre", "post"),
-        transition_names=("switch",),
-    )
+    # 7: LQR cost optimality on the field switch
+    sys_sw = field_switch()
     traj_l = simulate(sys_sw, 0, np.array([1.0, -0.2]), (0.0, 1.6), opts)
     Q = np.eye(2)
     V = 0.5 * np.eye(1)

@@ -235,6 +235,30 @@ def bouncing_ball(e: float = 0.5, a_g: float = 9.81) -> HybridSystem:
     )
 
 
+def field_switch() -> HybridSystem:
+    """Two damped affine fields on R^2 and one switch between them.
+
+    Mode "pre" is x' = A0 x + c0 with A0 = [[0, 1], [-2, -0.3]] and
+    c0 = (0, 0.6); mode "post" is x' = A1 x with A1 = [[0, 1], [-1, -0.9]].
+    The guard is g(x) = x0 + 0.1, so the switch fires where x0 falls through
+    -0.1, and the reset is the identity: trajectories stay comparable at equal
+    times while the saltation matrix and the Riccati jump are nontrivial.
+    This is the LQR benchmark of `saltlib verify` and the acceptance tests.
+    """
+    return HybridSystem(
+        modes=(
+            affine_field(np.array([[0.0, 1.0], [-2.0, -0.3]]), np.array([0.0, 0.6])),
+            affine_field(np.array([[0.0, 1.0], [-1.0, -0.9]]), np.zeros(2)),
+        ),
+        transitions=(
+            TransitionSpec(0, 1, linear_guard(np.array([1.0, 0.0]), offset=0.1),
+                           identity_reset(2)),
+        ),
+        mode_names=("pre", "post"),
+        transition_names=("switch",),
+    )
+
+
 def constant_flow_two_mode(f_i: np.ndarray, f_j: np.ndarray, guard_normal: np.ndarray,
                            offset: float = 0.0) -> HybridSystem:
     """Two constant vector fields separated by a hyperplane guard.

@@ -22,10 +22,23 @@ the trajectory. Folds run in turn on one (system, trajectory, step) therefore
 integrate each sample interval once between them, and each sees the matrices
 it would have computed alone, bit for bit. This rests on the system's
 callables being pure functions of (t, x).
+
+Each fold combines a segment's (K, n, n) flows as stacks, in O(log K) or
+O(sqrt K) numpy calls, not one Python step per interval. Events stay
+sequential boundaries between segments, so each segment keeps its own n and
+each form has one jump rule. The fundamental matrix and the covariance take
+the prefix products Phi_i of a segment's flows, by doubling: the fundamental
+matrix the last of them, the covariance Phi_i Sigma Phi_i^T in one stacked
+pass. The Riccati pass is a blocked suffix scan over the associative
+elements (A_k, C_k = B_k V_k^-1 B_k^T, J_k = Q_k) of Sarkka and
+Garcia-Fernandez (2023), closed on the segment's end value, then one stacked
+solve for the gains; a segment whose V_k has no Cholesky factor takes the
+recursion one interval at a time instead.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -165,16 +178,29 @@ class FundamentalMatrix:
     n_events: int
 
 
+def _prefix_products(mats: np.ndarray) -> np.ndarray:
+    """Ordered products mats[i] @ ... @ mats[0] of a (K, n, n) stack, all i at
+    once by doubling (Hillis-Steele): ceil(log2 K) stacked matmuls."""
+    phi = np.array(mats)
+    d = 1
+    while d < len(phi):
+        phi[d:] = phi[d:] @ phi[:-d]
+        d *= 2
+    return phi
+
+
 def fundamental_matrix(sys: HybridSystem, traj: HybridTrajectory,
                        step: float = DEFAULT_STEP) -> FundamentalMatrix:
-    """Compose per-interval variational flows with saltation matrices."""
+    """Compose per-interval variational flows with saltation matrices: per
+    segment the last of its flows' prefix products, and between segments the
+    event's Xi."""
     flows, xis = _linearize(sys, traj, step)
     phi = np.eye(sys.dim(traj.segments[0].mode))
     for k, seg_flows in enumerate(flows):
         if k > 0:
             phi = xis[k - 1] @ phi
-        for A in seg_flows:
-            phi = A @ phi
+        if len(seg_flows):
+            phi = _prefix_products(seg_flows)[-1] @ phi
     return FundamentalMatrix(
         phi=phi, t_start=traj.t_start, t_end=traj.t_end, n_events=len(traj.events)
     )
@@ -298,15 +324,17 @@ def _prechecked(cls, **fields):
     """An instance of a frozen dataclass built without its __post_init__
     check, for values that one stacked check has already passed."""
     obj = object.__new__(cls)
+    attrs = obj.__dict__  # item by item, so instances keep sharing the class's key table
     for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+        attrs[name] = value
     return obj
 
 
 def propagate_covariance(sys: HybridSystem, traj: HybridTrajectory,
                          sigma0: np.ndarray, step: float = DEFAULT_STEP) -> list[CovarianceState]:
-    """Push a covariance along a trajectory: A Sigma A^T in segments,
-    Xi Sigma Xi^T at events. One output per trajectory sample.
+    """Push a covariance along a trajectory: Phi_i Sigma Phi_i^T in segments,
+    with Phi_i the product of the segment's first i flows and Sigma its start
+    value, and Xi Sigma Xi^T at events. One output per trajectory sample.
 
     The symmetric/PSD check of CovarianceState runs once per segment, on the
     stack of its samples, and raises at the first sample that fails it."""
@@ -318,13 +346,12 @@ def propagate_covariance(sys: HybridSystem, traj: HybridTrajectory,
     for k, (seg, seg_flows) in enumerate(zip(traj.segments, flows)):
         if k > 0:
             sigma = _sym(xis[k - 1] @ sigma @ xis[k - 1].T)
-        sigmas = [sigma]
-        for A in seg_flows:
-            sigma = _sym(A @ sigma @ A.T)
-            sigmas.append(sigma)
-        _check_sym_psd(np.stack(sigmas), "covariance")
-        out.extend(_prechecked(CovarianceState, t=t, mode=seg.mode, sigma=s)
+        phi = _prefix_products(seg_flows)
+        sigmas = np.concatenate((sigma[None], _sym(phi @ sigma @ np.swapaxes(phi, 1, 2))))
+        _check_sym_psd(sigmas, "covariance")
+        out.extend(_prechecked(CovarianceState, t=t, mode=seg.mode, sigma=s.copy())
                    for t, s in zip(seg.times.tolist(), sigmas))
+        sigma = sigmas[-1]
     return out
 
 
@@ -398,6 +425,110 @@ def _check_stage_shapes(sys: HybridSystem, traj: HybridTrajectory, q_fn, v_fn, b
         raise ValueError(f"V has shape {v.shape}, expected {(b.shape[1],) * 2} for the columns of B")
 
 
+def _stages(m: MatrixLike, t0: np.ndarray) -> np.ndarray:
+    """m at every interval start t0 (K,) as a (K, r, c) stack: a callable is
+    called once per start, a constant array is broadcast (a read-only view)."""
+    if callable(m):
+        return np.stack([np.asarray(m(t), dtype=float) for t in t0.tolist()])
+    m = np.asarray(m, dtype=float)
+    return np.broadcast_to(m, (t0.size, *m.shape))
+
+
+def _require_definite(S: np.ndarray, t0: np.ndarray) -> None:
+    """Raise SingularInputPenalty at the last matrix of the stack S that has
+    no Cholesky factor, t0 holding the start of each one's interval."""
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        for i in reversed(range(len(S))):
+            try:
+                np.linalg.cholesky(S[i])
+            except np.linalg.LinAlgError as exc:
+                raise SingularInputPenalty(
+                    f"input penalty not positive definite on interval starting t={float(t0[i])}"
+                ) from exc
+
+
+def _combine(a1, c1, j1, a2, c2, j2):
+    """The LQR scan element of an earlier span (a1, c1, j1) followed by a
+    later one (a2, c2, j2) (Sarkka & Garcia-Fernandez 2023):
+    A = A2 (I + C1 J2)^-1 A1, C = A2 (I + C1 J2)^-1 C1 A2^T + C2,
+    J = A1^T J2 (I + C1 J2)^-1 A1 + J1. Stacks broadcast."""
+    n = a1.shape[-1]
+    x = np.linalg.solve(np.eye(n) + c1 @ j2, np.concatenate((a1, c1), axis=-1))
+    xa = x[..., :n]
+    a = a2 @ xa
+    return (a, a2 @ x[..., n:] @ np.swapaxes(a2, -1, -2) + c2,
+            np.swapaxes(a1, -1, -2) @ j2 @ xa + j1)
+
+
+def _close(a, c, j, p):
+    """The value matrix J + A^T P (I + C P)^-1 A before a span (A, C, J) that
+    ends at value P: the J of the span followed by (0, 0, P). Stacks broadcast."""
+    n = a.shape[-1]
+    return j + np.swapaxes(a, -1, -2) @ p @ np.linalg.solve(np.eye(n) + c @ p, a)
+
+
+def _riccati_scan(A: np.ndarray, C: np.ndarray, J: np.ndarray, p_end: np.ndarray) -> np.ndarray:
+    """Value matrices (K + 1, n, n) at the nodes of K intervals with elements
+    (A_k, C_k, J_k), the last node's being p_end, by a blocked suffix scan:
+    b = ceil(sqrt(K)) intervals per block, padded at the end with identity
+    elements (I, 0, 0); suffix products inside every block at once (b - 1
+    stacked combines); the value after each block, one block at a time from
+    the last; then every node closed on the value after its block at once."""
+    K, n = A.shape[:2]
+    b = math.ceil(math.sqrt(K))
+    nb = -(-K // b)
+    pad = nb * b - K
+
+    def blocks(x, fill):
+        return np.concatenate((x, np.broadcast_to(fill, (pad, n, n)))).reshape(nb, b, n, n)
+
+    # each interval's element is read just before its suffix overwrites it
+    suffix = (blocks(A, np.eye(n)), blocks(C, np.zeros((n, n))), blocks(J, np.zeros((n, n))))
+    for j in range(b - 2, -1, -1):
+        for x, y in zip(suffix, _combine(*(x[:, j] for x in suffix), *(x[:, j + 1] for x in suffix))):
+            x[:, j] = y
+    after = np.empty((nb, 1, n, n))
+    after[-1, 0] = p_end
+    for i in range(nb - 1, 0, -1):
+        after[i - 1, 0] = _close(*(x[i, 0] for x in suffix), after[i, 0])
+    values = _close(*suffix, after).reshape(-1, n, n)[:K]
+    return np.concatenate((values, p_end[None]))
+
+
+def _riccati_steps(A, Bk, Qk, Vk, p, t0):
+    """The backward Riccati recursion one interval at a time: the fallback of
+    _riccati_segment, for a V_k that has no Cholesky factor."""
+    K, m, n = Bk.shape[0], Bk.shape[2], A.shape[1]
+    values, gains = np.empty((K + 1, n, n)), np.empty((K, m, n))
+    values[K] = p
+    for i in reversed(range(K)):
+        S = _sym(Vk[i] + Bk[i].T @ p @ Bk[i])
+        _require_definite(S[None], t0[i:i + 1])
+        gains[i] = np.linalg.solve(S, Bk[i].T @ p @ A[i])
+        p = values[i] = _sym(Qk[i] + A[i].T @ p @ (A[i] - Bk[i] @ gains[i]))
+    return values, gains
+
+
+def _riccati_segment(A, Bk, Qk, Vk, p_end, t0):
+    """Value matrices (K + 1) and gains (K) of one segment's K intervals,
+    P_k = Q_k + A_k^T P_k+1 (A_k - B_k K_k) with K_k = S^-1 B_k^T P_k+1 A_k,
+    S = V_k + B_k^T P_k+1 B_k: by the scan with C_k = B_k V_k^-1 B_k^T, then
+    one stacked check of S and one stacked solve for the gains. The scan
+    needs V_k^-1; where a V_k has no Cholesky factor (or a scan solve meets
+    an exactly singular matrix) the segment takes the sequential recursion."""
+    try:
+        W = np.linalg.solve(np.linalg.cholesky(Vk), np.swapaxes(Bk, 1, 2))
+        values = _sym(_riccati_scan(A, np.swapaxes(W, 1, 2) @ W, Qk, p_end))
+    except np.linalg.LinAlgError:
+        return _riccati_steps(A, Bk, Qk, Vk, p_end, t0)
+    BtP = np.swapaxes(Bk, 1, 2) @ values[1:]
+    S = _sym(Vk + BtP @ Bk)
+    _require_definite(S, t0)
+    return values, np.linalg.solve(S, BtP @ A)
+
+
 def hybrid_lqr_backward(
     sys: HybridSystem,
     traj: HybridTrajectory,
@@ -410,51 +541,39 @@ def hybrid_lqr_backward(
     """Finite-horizon LQR along a hybrid trajectory.
 
     Discretization per grid interval [t_k, t_k+1): A_k from the variational
-    flow, B_k = dt B(t_k), Q_k = dt Q(t_k), V_k = dt V(t_k). Events are
-    zero-duration riccati_jump steps between segments; because segment grids
-    end exactly at event times this realizes the smooth-jump-smooth sandwich.
+    flow, B_k = dt B(t_k), Q_k = dt Q(t_k), V_k = dt V(t_k). Segments are
+    solved from the last, each from its end value (P_terminal, or the value
+    just after the next event) by one blocked scan over its intervals; events
+    are the jumps P- = Xi^T P+ Xi between them. Because segment grids end
+    exactly at event times this realizes the smooth-jump-smooth sandwich.
     """
-    q_fn, v_fn, b_fn = _as_matrix_fn(Q), _as_matrix_fn(V), _as_matrix_fn(B)
     p = np.asarray(P_terminal, dtype=float)
     _require_square(p, "P_terminal", sys, traj.segments[-1].mode)
-    _check_stage_shapes(sys, traj, q_fn, v_fn, b_fn)
+    _check_stage_shapes(sys, traj, _as_matrix_fn(Q), _as_matrix_fn(V), _as_matrix_fn(B))
     flows, xis = _linearize(sys, traj, step)
 
     p = _sym(p)
-    values_rev: list[np.ndarray] = [p.copy()]
-    gains_rev: list[np.ndarray] = []
-    gain_times_rev: list[float] = []
-    gain_ends_rev: list[float] = []
-
+    parts = []  # (values, gains) per segment, from the last
     for k in reversed(range(len(traj.segments))):
-        times = traj.segments[k].times
-        for i in reversed(range(len(flows[k]))):
-            A = flows[k][i]
-            t0 = float(times[i])
-            dt = float(times[i + 1]) - t0
-            B_k, Q_k, V_k = dt * b_fn(t0), dt * q_fn(t0), dt * v_fn(t0)
-            S = V_k + B_k.T @ p @ B_k
-            try:
-                np.linalg.cholesky(_sym(S))
-            except np.linalg.LinAlgError as exc:
-                raise SingularInputPenalty(
-                    f"input penalty not positive definite on interval starting t={t0}"
-                ) from exc
-            K = np.linalg.solve(_sym(S), B_k.T @ p @ A)
-            p = _sym(Q_k + A.T @ p @ (A - B_k @ K))
-            gains_rev.append(K)
-            gain_times_rev.append(t0)
-            gain_ends_rev.append(t0 + dt)
-            values_rev.append(p.copy())
+        A, times = flows[k], traj.segments[k].times
+        if len(A):
+            t0 = times[:-1]
+            dt = (times[1:] - t0)[:, None, None]
+            parts.append(_riccati_segment(A, dt * _stages(B, t0), dt * _stages(Q, t0),
+                                          dt * _stages(V, t0), p, t0))
+        else:
+            parts.append((p[None], ()))
+        p = parts[-1][0][0]
         if k > 0:
             p = _sym(xis[k - 1].T @ p @ xis[k - 1])
-            values_rev.append(p.copy())
+    parts.reverse()
 
+    times = [seg.times for seg in traj.segments]
     return LqrSolution(
-        gain_times=np.asarray(gain_times_rev[::-1], dtype=float),
-        gain_ends=np.asarray(gain_ends_rev[::-1], dtype=float),
-        gains=tuple(gains_rev[::-1]),
-        node_times=np.concatenate([seg.times for seg in traj.segments]).astype(float),
+        gain_times=np.concatenate([t[:-1] for t in times]).astype(float),
+        gain_ends=np.concatenate([t[:-1] + (t[1:] - t[:-1]) for t in times]).astype(float),
+        gains=tuple(g.copy() for _, gains in parts for g in gains),
+        node_times=np.concatenate(times).astype(float),
         node_modes=tuple(seg.mode for seg in traj.segments for _ in seg.times),
-        values=tuple(values_rev[::-1]),
+        values=tuple(v.copy() for values, _ in parts for v in values),
     )

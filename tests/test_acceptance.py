@@ -427,21 +427,7 @@ def test_criterion_08_riccati_jump_psd_and_lqr_beats_perturbed_gains():
 
     # a gain schedule from the backward pass beats every random static
     # perturbation of itself on rollout cost
-    sys_sw = sl.HybridSystem(
-        modes=(
-            sl.affine_field(np.array([[0.0, 1.0], [-2.0, -0.3]]),
-                            np.array([0.0, 0.6])),
-            sl.affine_field(np.array([[0.0, 1.0], [-1.0, -0.9]]),
-                            np.zeros(2)),
-        ),
-        transitions=(
-            sl.TransitionSpec(0, 1,
-                              sl.linear_guard(np.array([1.0, 0.0]), offset=0.1),
-                              sl.identity_reset(2)),
-        ),
-        mode_names=("pre", "post"),
-        transition_names=("switch",),
-    )
+    sys_sw = sl.field_switch()
     Q = np.eye(2)
     V = 0.5 * np.eye(1)
     B = np.array([[0.0], [1.0]])

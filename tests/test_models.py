@@ -175,6 +175,18 @@ def _affine_doc():
     }
 
 
+def test_field_switch_fires_once_where_x0_falls_through_minus_0_1():
+    sys_ = sl.field_switch()
+    traj = sl.simulate(sys_, 0, np.array([1.0, -0.2]), (0.0, 2.2))
+    assert [seg.mode for seg in traj.segments] == [0, 1]
+    ev = traj.events[0]
+    assert abs(ev.x_minus[0] + 0.1) <= 1e-9
+    assert np.array_equal(ev.x_plus, ev.x_minus)
+    x = np.array([0.3, -0.5])
+    np.testing.assert_allclose(sys_.modes[0].f(0.0, x), [-0.5, -2.0 * 0.3 + 0.3 * 0.5 + 0.6])
+    np.testing.assert_allclose(sys_.modes[1].f(0.0, x), [-0.5, -0.3 + 0.9 * 0.5])
+
+
 def test_load_affine_matches_builtin_constant_flow(tmp_path):
     doc = _affine_doc()
     built = sl.constant_flow_two_mode(np.array([1.0, -1.0]), np.array([1.0, 0.0]),

@@ -615,12 +615,7 @@ def _brute_force_cost_per_stage(sys_, ref, Q, V, B, P_T, policy, rows, opts):
 def _switch_across_event():
     """Criterion 08's switching system and weights, with a reference from
     (1.0, -0.2) that runs 2.2 s and so crosses the switch, and its schedule."""
-    sys_ = sl.HybridSystem(
-        modes=(sl.affine_field(np.array([[0.0, 1.0], [-2.0, -0.3]]), np.array([0.0, 0.6])),
-               sl.affine_field(np.array([[0.0, 1.0], [-1.0, -0.9]]), np.zeros(2))),
-        transitions=(sl.TransitionSpec(0, 1, sl.linear_guard(np.array([1.0, 0.0]), offset=0.1),
-                                       sl.identity_reset(2)),),
-    )
+    sys_ = sl.field_switch()
     weights = (np.eye(2), 0.5 * np.eye(1), np.array([[0.0], [1.0]]), np.eye(2))
     opts = sl.SimOptions(step=2e-3)
     ref = sl.simulate(sys_, 0, np.array([1.0, -0.2]), (0.0, 2.2), opts)

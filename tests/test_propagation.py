@@ -282,18 +282,12 @@ def _memo_systems():
     p = sl.BallDropParams(theta=0.3)
     model, slide = sl.ball_drop(p)
     _, stick = sl.ball_drop(dataclasses.replace(p, friction="infinite-stick"))
-    switch = sl.HybridSystem(
-        modes=(sl.affine_field(np.array([[0.0, 1.0], [-2.0, -0.3]]), np.array([0.0, 0.6])),
-               sl.affine_field(np.array([[0.0, 1.0], [-1.0, -0.9]]), np.zeros(2))),
-        transitions=(sl.TransitionSpec(0, 1, sl.linear_guard(np.array([1.0, 0.0]), offset=0.1),
-                                       sl.identity_reset(2)),),
-    )
     drop = np.array([0.0, 0.5, 0.3, 0.0])
     return {
         "slide": (slide, drop, 0.6),
         "stick": (stick, drop, 0.6),
         "bounce": (sl.bouncing_ball(e=0.5), np.array([0.3, 0.0]), 0.6),
-        "switch": (switch, np.array([1.0, -0.2]), 2.2),
+        "switch": (sl.field_switch(), np.array([1.0, -0.2]), 2.2),
         "generic": (sl.build_hybrid_system(model), drop, 0.4),
     }
 
@@ -680,3 +674,200 @@ def test_lqr_value_jump_uses_saltation_congruence():
     # gain lookup covers the whole span with right-open intervals
     assert sol.gain_at(-1.0).shape == (1, 2)
     assert sol.gain_at(0.599).shape == (1, 2)
+
+
+# --- the folds as scans against the folds one interval at a time ------------
+
+
+def _sequential_folds(sys_, traj, sigma0, Q, V, B, P_T, step=1e-3):
+    """Fundamental matrix, covariances and LQR values and gains by the
+    per-interval loops that the stacked scans replaced, on the same
+    linearization."""
+    flows, xis = propagation._linearize(sys_, traj, step)
+    at = {name: (m if callable(m) else (lambda t, m=m: m)) for name, m in
+          (("Q", Q), ("V", V), ("B", B))}
+    phi = np.eye(sys_.dim(traj.segments[0].mode))
+    sigma, sigmas = propagation._sym(sigma0), []
+    for k, seg_flows in enumerate(flows):
+        if k > 0:
+            phi = xis[k - 1] @ phi
+            sigma = propagation._sym(xis[k - 1] @ sigma @ xis[k - 1].T)
+        sigmas.append(sigma)
+        for A in seg_flows:
+            phi = A @ phi
+            sigma = propagation._sym(A @ sigma @ A.T)
+            sigmas.append(sigma)
+    p = propagation._sym(np.asarray(P_T, dtype=float))
+    values, gains = [p], []
+    for k in reversed(range(len(traj.segments))):
+        times = traj.segments[k].times
+        for i in reversed(range(len(flows[k]))):
+            A, t0 = flows[k][i], float(times[i])
+            dt = float(times[i + 1]) - t0
+            B_k, Q_k, V_k = dt * at["B"](t0), dt * at["Q"](t0), dt * at["V"](t0)
+            S = propagation._sym(V_k + B_k.T @ p @ B_k)
+            try:
+                np.linalg.cholesky(S)
+            except np.linalg.LinAlgError as exc:
+                raise SingularInputPenalty(
+                    f"input penalty not positive definite on interval starting t={t0}") from exc
+            K = np.linalg.solve(S, B_k.T @ p @ A)
+            p = propagation._sym(Q_k + A.T @ p @ (A - B_k @ K))
+            gains.append(K)
+            values.append(p)
+        if k > 0:
+            p = propagation._sym(xis[k - 1].T @ p @ xis[k - 1])
+            values.append(p)
+    return phi, sigmas, values[::-1], gains[::-1]
+
+
+def _rel_gap(xs, ys):
+    """Largest entry gap between two equally long lists of matrices, relative
+    to the largest entry of ys."""
+    assert len(xs) == len(ys) and all(np.shape(x) == np.shape(y) for x, y in zip(xs, ys))
+    return (max(float(np.abs(np.subtract(x, y)).max()) for x, y in zip(xs, ys))
+            / max(float(np.abs(y).max()) for y in ys))
+
+
+def _input_weights(n):
+    """Identity state weights, 0.5 input weights, inputs on the second half."""
+    B = np.zeros((n, n // 2))
+    B[n // 2:] = np.eye(n // 2)
+    return np.eye(n), 0.5 * np.eye(n // 2), B, np.eye(n)
+
+
+def _assert_scans_match_loops(sys_, traj, Q, V, B, P_T, sigma0, step=1e-3, tol=1e-10):
+    phi, sigmas, values, gains = _sequential_folds(sys_, traj, sigma0, Q, V, B, P_T, step)
+    fund = sl.fundamental_matrix(sys_, traj, step)
+    cov = sl.propagate_covariance(sys_, traj, sigma0, step)
+    lqr = sl.hybrid_lqr_backward(sys_, traj, Q, V, B, P_T, step)
+    assert len(cov) == len(sigmas) and len(lqr.values) == len(values)
+    assert len(lqr.gains) == len(gains) == len(lqr.gain_times)
+    assert _rel_gap([fund.phi], [phi]) <= tol
+    assert _rel_gap([c.sigma for c in cov], sigmas) <= tol
+    assert _rel_gap(lqr.values, values) <= tol
+    if gains:
+        assert _rel_gap(lqr.gains, gains) <= tol
+
+
+def _combine_element(rng, n):
+    L, M = rng.standard_normal((2, n, n))
+    return np.eye(n) + 0.3 * rng.standard_normal((n, n)), 0.1 * L @ L.T, 0.1 * M @ M.T
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_scan_combine_is_associative(n):
+    rng = np.random.Generator(np.random.Philox(11 + n))
+    for _ in range(20):
+        e1, e2, e3 = (_combine_element(rng, n) for _ in range(3))
+        left = propagation._combine(*propagation._combine(*e1, *e2), *e3)
+        right = propagation._combine(*e1, *propagation._combine(*e2, *e3))
+        for x, y in zip(left, right):
+            assert _rel_gap([x], [y]) <= 1e-12
+        # closing a span on P is combining it with (0, 0, P)
+        zero = np.zeros((n, n))
+        closed = propagation._close(*e1, e2[2])
+        assert _rel_gap([closed], [propagation._combine(*e1, zero, zero, e2[2])[2]]) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["slide", "stick", "bounce", "switch", "pendulum", "generic"])
+def test_scan_folds_match_the_per_interval_loops(kind):
+    sys_, x0, span = _stacked_systems()[kind]
+    traj = sl.simulate(sys_, 0, x0, (0.0, span))
+    n = sys_.dim(0)
+    _assert_scans_match_loops(sys_, traj, *_input_weights(n), 1e-4 * np.eye(n))
+
+
+def test_scan_folds_match_the_loops_over_1101_intervals():
+    # the 2.2 s switch reference of the oracle tests, 814 and 287 intervals:
+    # the LQR scan's blocks span 29 and 17 intervals, and each interval of
+    # 2e-3 s is two substeps
+    sys_ = sl.field_switch()
+    traj = sl.simulate(sys_, 0, np.array([1.0, -0.2]), (0.0, 2.2), sl.SimOptions(step=2e-3))
+    assert [seg.times.size - 1 for seg in traj.segments] == [814, 287]
+    _assert_scans_match_loops(sys_, traj, *_input_weights(2), 1e-4 * np.eye(2))
+
+
+def test_scan_folds_match_the_loops_across_a_reset_into_a_larger_space():
+    # a reset from R^2 into R^3: Xi is 3 x 2, and Q and B change shape with
+    # the segment
+    A1 = np.array([[-0.5, 1.0, 0.0], [-1.0, -0.2, 0.3], [0.1, 0.0, -0.4]])
+    sys_ = sl.HybridSystem(
+        modes=(sl.affine_field(np.array([[0.0, 1.0], [-1.0, -0.2]]), np.array([0.0, -1.0])),
+               sl.affine_field(A1, np.zeros(3))),
+        transitions=(sl.TransitionSpec(
+            0, 1, sl.linear_guard(np.array([1.0, 0.0])),
+            sl.affine_reset(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                            np.array([0.0, 0.0, 0.5]))),),
+    )
+    traj = sl.simulate(sys_, 0, np.array([0.5, -0.5]), (0.0, 1.0))
+    assert [seg.mode for seg in traj.segments] == [0, 1]
+    t_ev = traj.events[0].t_event
+    B2, B3 = np.array([[0.0], [1.0]]), np.array([[0.0], [1.0], [0.5]])
+    Q = lambda t: np.eye(2) if t < t_ev else np.diag([1.0, 2.0, 3.0])
+    B = lambda t: B2 if t < t_ev else B3
+    _assert_scans_match_loops(sys_, traj, Q, np.eye(1), B, np.eye(3), 1e-4 * np.eye(2))
+    assert sl.fundamental_matrix(sys_, traj).phi.shape == (3, 2)
+
+
+@pytest.mark.parametrize("lengths", [(1, 0), (0, 1), (1, 1)])
+def test_scan_folds_match_the_loops_on_segments_of_one_and_no_interval(lengths):
+    # the bounce's first event, with the samples around it cut down to
+    # `lengths` intervals before and after
+    sys_ = sl.bouncing_ball(e=0.5)
+    full = sl.simulate(sys_, 0, np.array([0.3, 0.0]), (0.0, 0.4))
+    before, after = full.segments[:2]
+    traj = sl.HybridTrajectory(
+        segments=(dataclasses.replace(before, times=before.times[-1 - lengths[0]:],
+                                      states=before.states[-1 - lengths[0]:]),
+                  dataclasses.replace(after, times=after.times[:1 + lengths[1]],
+                                      states=after.states[:1 + lengths[1]])),
+        events=full.events[:1])
+    assert [seg.times.size - 1 for seg in traj.segments] == list(lengths)
+    _assert_scans_match_loops(sys_, traj, *_input_weights(2), 1e-4 * np.eye(2))
+
+
+def _rank_one_inputs():
+    """The double integrator with two input columns of which only the first
+    acts, so B^T P B is singular and S is definite exactly where V is."""
+    sys_ = _single_mode(sl.affine_field(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2)))
+    traj = sl.simulate(sys_, 0, np.array([1.0, 0.0]), (0.0, 0.5))
+    return sys_, traj, np.array([[0.0, 0.0], [1.0, 0.0]])
+
+
+def test_lqr_penalty_singular_on_one_interval_raises_there():
+    sys_, traj, B = _rank_one_inputs()
+    t_bad = float(traj.segments[0].times[200])
+    V = lambda t: np.zeros((2, 2)) if t == t_bad else np.eye(2)
+    with pytest.raises(SingularInputPenalty) as want:
+        _sequential_folds(sys_, traj, np.eye(2), np.eye(2), V, B, np.eye(2))
+    assert str(want.value) == f"input penalty not positive definite on interval starting t={t_bad}"
+    with pytest.raises(SingularInputPenalty) as got:
+        sl.hybrid_lqr_backward(sys_, traj, np.eye(2), V, B, np.eye(2))
+    assert str(got.value) == str(want.value)
+
+
+def test_lqr_penalty_failing_on_the_scan_path_raises_at_the_latest_interval():
+    # V is definite, but a negative state weight drives P negative going
+    # back, until S = V_k + B_k^T P B_k fails on the interval starting at
+    # t = 0.483, the 17th from the end
+    sys_, traj, _ = _rank_one_inputs()
+    Q, B = -1e4 * np.eye(2), np.array([[0.0], [1.0]])
+    with pytest.raises(SingularInputPenalty) as want:
+        _sequential_folds(sys_, traj, np.eye(2), Q, np.eye(1), B, np.zeros((2, 2)))
+    with pytest.raises(SingularInputPenalty) as got:
+        sl.hybrid_lqr_backward(sys_, traj, Q, np.eye(1), B, np.zeros((2, 2)))
+    assert str(got.value) == str(want.value)
+
+
+def test_lqr_zero_penalty_with_a_definite_s_keeps_the_loop_values():
+    # V = 0 has no inverse for the scan; B^T P B alone keeps S definite, and
+    # the segment takes the per-interval recursion
+    sys_ = sl.bouncing_ball(e=0.5)
+    traj = sl.simulate(sys_, 0, np.array([1.0, 0.0]), (0.0, 0.6))
+    B = np.array([[0.0], [1.0]])
+    _, _, values, gains = _sequential_folds(sys_, traj, np.eye(2), np.eye(2), np.zeros((1, 1)),
+                                            B, np.eye(2))
+    sol = sl.hybrid_lqr_backward(sys_, traj, np.eye(2), np.zeros((1, 1)), B, np.eye(2))
+    assert _rel_gap(sol.values, values) <= 1e-12
+    assert _rel_gap(sol.gains, gains) <= 1e-12
