@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EventOrderChanged, SplitDistribution
 from .propagation import MatrixLike, _as_matrix_fn, variational_flow
-from .simulate import _ONE_ROW, _STACK, SimOptions, _flow_rows, _NotBroadcast, _rollout, simulate
+from .simulate import _ONE_ROW, SimOptions, _flow_rows, _rollout, _stack_or_each_row, simulate
 from .system import HybridSystem, ModeId, VectorFieldSpec
 from .trajectory import HybridTrajectory
 
@@ -58,15 +58,6 @@ def compare(name: str, analytic: np.ndarray, numeric: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # finite-difference saltation
-
-
-def _stack_or_each_row(run: Callable, n: int) -> list:
-    """[run(rows, s)] on the whole stack (s = slice(None)), or one call per
-    row (s = slice(i, i + 1)) when a callable does not broadcast."""
-    try:
-        return [run(_STACK, slice(None))]
-    except _NotBroadcast:
-        return [run(_ONE_ROW, slice(i, i + 1)) for i in range(n)]
 
 
 def numeric_saltation(

@@ -13,14 +13,15 @@ with the field and its Jacobian called on the (K, n) stack of interval
 starts and (K,) times. The first stage of each group compares row 0 (and,
 for a Jacobian that returns one (n, n) matrix, the last row) with a one-row
 call; a segment whose callables fail on the stack or disagree is integrated
-one interval at a time instead, through the same code. `variational_flow` is
-that one-interval case. Fundamental and monodromy matrices,
-covariance push-forwards and the backward Riccati pass are folds over that
-linearization, and they share it: `_linearize` keeps the most recent one (one
-entry in total), keyed by the system's identity, `step` and the content of
-the trajectory. Folds run in turn on one (system, trajectory, step) therefore
-integrate each sample interval once between them, and each sees the matrices
-it would have computed alone, bit for bit. This rests on the system's
+one interval at a time instead, through the same code, by the engine's
+`_stack_or_each_row`. `variational_flow` is that one-interval case.
+Fundamental and monodromy matrices, covariance push-forwards and the
+backward Riccati pass are folds over that linearization, and they share
+it: `_linearize` keeps the most recent one (one entry in total), keyed by
+the system's identity, `step` and the content of the trajectory. Folds run
+in turn on one (system, trajectory, step) therefore integrate each sample
+interval once between them, and each sees the matrices it would have
+computed alone, bit for bit. This rests on the system's
 callables being pure functions of (t, x).
 
 Each fold combines a segment's (K, n, n) flows as stacks, in O(log K) or
@@ -47,10 +48,10 @@ import numpy as np
 
 from .errors import NonFiniteState, NotPeriodic, SingularInputPenalty
 from .saltation import SaltationResult, saltation_matrix
-from .simulate import (DEFAULT_STEP, _ONE_ROW, _STACK, _check_field, _check_jacobian, _first,
-                       _float, _NotBroadcast, _rk4_steps, _substep_groups, _take, rk4_step)
+from .simulate import (DEFAULT_STEP, _ONE_ROW, _check_field, _check_jacobian, _first, _float,
+                       _rk4_steps, _stack_or_each_row, _substep_groups, _take, rk4_step)
 from .system import HybridSystem, ModeId
-from .trajectory import HybridTrajectory, Segment
+from .trajectory import HybridTrajectory
 
 TOL_STAB = 1e-9
 
@@ -69,26 +70,27 @@ def _flows(rows, sys: HybridSystem, mode: ModeId, t0, X0: np.ndarray, t1,
     z' = (f(t, x), D_x f(t, x) M), from M = I, in substeps of at most `step`.
     t0 and t1 are per-row (K,) arrays, or floats when K is 1.
 
-    With _STACK the field and Jacobian see the (K, n) stack of states with
+    On the stack the field and Jacobian see the (K, n) stack of states with
     (K,) times; the first stage of each substep group checks them against
-    one-row calls and raises _NotBroadcast where they disagree. With
-    _ONE_ROW, K is 1 and they see a 1-D state and a float time.
+    one-row calls. One row at a time, K is 1 and they see a 1-D state and a
+    float time.
     """
     field = sys.modes[mode]
     n = field.dim
     Z = np.zeros((X0.shape[0], n + n * n))
     Z[:, :n] = X0
     Z[:, n::n + 1] = 1.0  # vec M = vec I
+    what_f, what_j = f"mode {mode} field", f"mode {mode} Jacobian"
     probe = True
 
     def stage(t, z):
         nonlocal probe
         x, M = z[:, :n], z[:, n:].reshape(-1, n, n)
-        F = rows.field(field.f, t, x)
-        J = rows.jacobian(field, t, x)
+        F = rows.call(field.f, t, x, what_f)
+        J = rows.call(field.jacobian, t, x, what_j)
         if probe:
-            _check_field(rows, field.f, t, x, f"mode {mode} field", F)
-            _check_jacobian(rows, field.jacobian, t, x, f"mode {mode} Jacobian", J)
+            _check_field(rows, field.f, t, x, what_f, F)
+            _check_jacobian(rows, field.jacobian, t, x, what_j, J)
             probe = False
         dz = np.empty_like(z)
         dz[:, :n] = F
@@ -103,7 +105,7 @@ def _flows(rows, sys: HybridSystem, mode: ModeId, t0, X0: np.ndarray, t1,
         i = _first(bad)
         raise NonFiniteState(f"non-finite variational flow over [{_float(t0, i)}, "
                              f"{_float(t1, i)}] in mode {mode}")
-    return Z[:, n:].reshape(-1, n, n).copy()
+    return Z[:, n:].reshape(-1, n, n)
 
 
 def variational_flow(sys: HybridSystem, mode: ModeId, t0: float, x0: np.ndarray,
@@ -111,19 +113,6 @@ def variational_flow(sys: HybridSystem, mode: ModeId, t0: float, x0: np.ndarray,
     """Linearized flow map A of one smooth mode over [t0, t1] around x0's orbit."""
     return _flows(_ONE_ROW, sys, mode, float(t0), np.asarray(x0, dtype=float)[None],
                   float(t1), step)[0]
-
-
-def _segment_flows(sys: HybridSystem, seg: Segment, step: float) -> np.ndarray:
-    """Flow matrices (K, n, n) of a segment's K sample intervals: one stacked
-    pass, or one interval at a time where the mode's callables do not
-    broadcast over the stack of interval starts."""
-    t, X = seg.times, seg.states
-    try:
-        return _flows(_STACK, sys, seg.mode, t[:-1], X[:-1], t[1:], step)
-    except _NotBroadcast:
-        ts = t.tolist()
-        return np.concatenate([_flows(_ONE_ROW, sys, seg.mode, ts[i], X[i:i + 1], ts[i + 1], step)
-                               for i in range(t.size - 1)])
 
 
 _Linearization = tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
@@ -160,7 +149,12 @@ def _linearize(sys: HybridSystem, traj: HybridTrajectory, step: float) -> _Linea
     if memo is not None and memo[0]() is sys and memo[1] == key:
         return memo[2]
     _memo = None  # dropped first, so a miss never keeps two linearizations alive
-    flows = tuple(_segment_flows(sys, seg, step) for seg in traj.segments)
+    flows = []
+    for seg in traj.segments:
+        t0, X0, t1 = seg.times[:-1], seg.states[:-1], seg.times[1:]
+        flows.append(np.concatenate(_stack_or_each_row(
+            lambda rows, s: _flows(rows, sys, seg.mode, t0[s], X0[s], t1[s], step), t0.size)))
+    flows = tuple(flows)
     xis = tuple(saltation_matrix(sys, ev).xi for ev in traj.events)
     for a in (*flows, *xis):
         a.setflags(write=False)

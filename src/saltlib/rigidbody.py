@@ -369,13 +369,7 @@ def _impact_guard(model: RigidBodyModel) -> GuardSpec:
         x = np.asarray(x, dtype=float)
         return model.g_n(t, x[..., : model.m])
 
-    def jac_x(t, x):
-        q, _ = model.split(np.asarray(x, dtype=float))
-        out = np.zeros(model.dim)
-        out[: model.m] = fd.jac_x(model.g_n, t, q)
-        return out
-
-    return GuardSpec(g=g, jac_x=jac_x)
+    return GuardSpec(g=g)
 
 
 def _velocity_guard(model: RigidBodyModel, jac: Callable[[np.ndarray], np.ndarray],

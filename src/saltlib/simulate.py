@@ -1,13 +1,14 @@
 """Fixed-step RK4 simulation of hybrid systems with event localization.
 
 One engine integrates a stack of rows, each a state in its own mode. It
-runs in two ways. `simulate`, `integrate_segment` and `locate_event` give
-it one row and call every field, guard and reset on that row's 1-D state
-with a float time. `oracles.monte_carlo_covariance` and
-`oracles.numeric_saltation` give it N rows and call the callables on the
-whole (N, n) stack, so they must broadcast over a leading row axis (else
-those oracles run the rows one at a time); time is a float while the rows
-share one, else an (N,) array. Every row follows the same rules:
+calls user code in two ways, each through one `call`: `_ONE_ROW` on a row's
+1-D state with a float time, as `simulate`, `integrate_segment` and
+`locate_event` use it, and `_STACK` once on the whole (N, n) stack, with a
+float time while the rows share one, else an (N,) array. The batched callers
+(`oracles.monte_carlo_covariance`, `oracles.numeric_saltation` and
+propagation's linearization) go through `_stack_or_each_row`, the one place
+that chooses: the stack, or one row at a time where a callable does not
+broadcast over a leading row axis. Every row follows the same rules:
 
 - Grid. A row steps t + step from the start of its segment, shortens the
   last step to land on t_max, and restarts its grid at every event.
@@ -135,18 +136,12 @@ class _OneRow:
     def rk4(self, f, t, X, h):
         return rk4_step(f, _float(t), X[0], _float(h))[None]
 
-    def field(self, f, t, X):
-        return np.asarray(f(_float(t), X[0]), dtype=float)[None]
+    def call(self, fn, t, X, what):
+        return np.asarray(fn(_float(t), X[0]), dtype=float)[None]
 
     def guards(self, guards, t, X):
         t, x = _float(t), X[0]
         return np.array([[gd.value(t, x) for gd in guards]])
-
-    def reset(self, rs, t, X):
-        return rs.apply(_float(t), X[0])[None]
-
-    def jacobian(self, field, t, X):
-        return np.asarray(field.jacobian(_float(t), X[0]), dtype=float)[None]
 
     def slope(self, gd, f, t, X):
         t, x = _float(t), X[0]
@@ -168,43 +163,33 @@ class _Stack:
     def rk4(self, f, t, X, h):
         return rk4_step(f, t, X, h)
 
-    def field(self, f, t, X):
+    def call(self, fn, t, X, what):
+        """fn(t, X) on the whole stack; any exception becomes _NotBroadcast."""
         try:
-            return np.asarray(f(t, X), dtype=float)
+            return np.asarray(fn(t, X), dtype=float)
         except Exception as exc:
-            raise _NotBroadcast("field does not broadcast" + self.hint) from exc
+            raise _NotBroadcast(f"{what} does not broadcast{self.hint}") from exc
 
     def guards(self, guards, t, X):
-        vals = np.empty((X.shape[0], len(guards)))
-        try:
+        def values(t, X):
+            vals = np.empty((X.shape[0], len(guards)))
             for j, gd in enumerate(guards):
                 vals[:, j] = gd.g(t, X)
-        except Exception as exc:
-            raise _NotBroadcast("guard does not broadcast" + self.hint) from exc
-        return vals
+            return vals
 
-    def reset(self, rs, t, X):
-        try:
-            return np.asarray(rs.r(t, X), dtype=float)
-        except Exception as exc:
-            raise _NotBroadcast("reset does not broadcast" + self.hint) from exc
-
-    def jacobian(self, field, t, X):
-        try:
-            return np.asarray(field.jacobian(t, X), dtype=float)
-        except Exception as exc:
-            raise _NotBroadcast("Jacobian does not broadcast" + self.hint) from exc
+        return self.call(values, t, X, "guard")
 
     def slope(self, gd, f, t, X):
-        try:
-            grad = gd.jac_x(t, X) if gd.jac_x is not None else fd.jac_x(gd.g, t, X)
-            grad = np.broadcast_to(np.asarray(grad, dtype=float), X.shape)
-            g_t = gd.jac_t(t, X) if gd.jac_t is not None else fd.diff_t(gd.g, t, X)
-            g_t = np.broadcast_to(np.asarray(g_t, dtype=float), X.shape[:1])
-        except Exception as exc:
-            raise _NotBroadcast("guard derivatives do not broadcast" + self.hint) from exc
-        deriv = g_t + np.einsum("ij,ij->i", grad, self.field(f, t, X))
-        return np.linalg.norm(grad, axis=1), deriv
+        def grad(t, X):
+            return np.broadcast_to(gd.jac_x(t, X) if gd.jac_x is not None else fd.jac_x(gd.g, t, X), X.shape)
+
+        def grad_t(t, X):
+            return np.broadcast_to(gd.jac_t(t, X) if gd.jac_t is not None else fd.diff_t(gd.g, t, X), X.shape[:1])
+
+        g_x = self.call(grad, t, X, "guard gradient")
+        deriv = self.call(grad_t, t, X, "guard time derivative") + np.einsum(
+            "ij,ij->i", g_x, self.call(f, t, X, "field"))
+        return np.linalg.norm(g_x, axis=1), deriv
 
     def agree(self, fn, t, X, out, what, row=0):
         """Raise _NotBroadcast unless fn on one row alone (row 0 by default),
@@ -225,6 +210,16 @@ class _Stack:
 
 _ONE_ROW = _OneRow()
 _STACK = _Stack()
+
+
+def _stack_or_each_row(run: Callable, n: int) -> list:
+    """[run(rows, s)] on the whole stack (s = slice(None)), or one call per
+    row (s = slice(i, i + 1)) when a callable does not broadcast: the one
+    place that chooses between the two."""
+    try:
+        return [run(_STACK, slice(None))]
+    except _NotBroadcast:
+        return [run(_ONE_ROW, slice(i, i + 1)) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +269,7 @@ class _Brackets(NamedTuple):
 def _check_field(rows, f, t, X: np.ndarray, what: str, out: Optional[np.ndarray] = None) -> None:
     """Check a field's result `out` on the rows X (evaluated here if not given):
     its shape, and on a stack its row 0 against a one-row call."""
-    out = rows.field(f, t, X) if out is None else out
+    out = rows.call(f, t, X, what) if out is None else out
     if out.shape != X.shape:
         raise rows.error(f"{what} returned shape {out.shape[1:]}, expected ({X.shape[1]},){rows.hint}")
     rows.agree(f, t, X, out, what)
@@ -558,12 +553,12 @@ def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, 
             if first is not None:
                 first.append((hit[sub], idx, t_e[sub], x_minus[sub]))
                 continue
-            x_plus = rows.reset(tr.reset, t_e[sub], x_minus[sub])
+            what = f"reset of transition {idx}"
+            x_plus = rows.call(tr.reset.r, t_e[sub], x_minus[sub], what)
             dim = sys.dim(tr.to_mode)
             if x_plus.shape != (sub.size, dim):
-                raise rows.error(f"reset of transition {idx} returned shape {x_plus.shape[1:]}, "
-                                 f"expected ({dim},){rows.hint}")
-            rows.agree(tr.reset.r, t_e[sub], x_minus[sub], x_plus, f"reset of transition {idx}")
+                raise rows.error(f"{what} returned shape {x_plus.shape[1:]}, expected ({dim},){rows.hint}")
+            rows.agree(tr.reset.r, t_e[sub], x_minus[sub], x_plus, what)
             if not np.isfinite(x_plus).all():
                 r = _first(~np.isfinite(x_plus).all(axis=1))
                 raise NonFiniteState(f"non-finite reset state at t={t_e[sub][r]}")

@@ -7,13 +7,14 @@ resets map the pre-event state into the target mode's state space.
 
 Every evaluator takes (t, x). The scalar paths (`simulate`, saltation,
 `variational_flow`) pass a 1-D float state and a float time. The batched
-engine behind `oracles.monte_carlo_covariance` and `oracles.numeric_saltation`
-passes a stack of rows (N, n), with a float time while the rows share one and
-an (N,) array of times otherwise. Propagation's linearization passes a mode's
-field and Jacobian the (K, n) stack of a segment's interval starts with (K,)
-times; a Jacobian then returns (K, n, n), or one (n, n) matrix for all rows.
-A callable that does not broadcast over the leading row axis makes these
-paths run one row (or interval) at a time (README "Simulation semantics").
+paths pass a stack of rows: `oracles.monte_carlo_covariance` and
+`oracles.numeric_saltation` an (N, n) stack, with a float time while the rows
+share one and an (N,) array of times otherwise, and propagation's
+linearization a mode's field and Jacobian the (K, n) stack of a segment's
+interval starts with (K,) times; a Jacobian then returns (K, n, n), or one
+(n, n) matrix for all rows. A callable that does not broadcast over the
+leading row axis makes the engine's one driver run these paths one row (or
+interval) at a time (README "Simulation semantics").
 Analytic Jacobians are optional on every spec; central finite differences
 fill in when absent, on 1-D states and on stacks alike.
 """

@@ -433,7 +433,8 @@ def test_criterion_08_riccati_jump_psd_and_lqr_beats_perturbed_gains():
     B = np.array([[0.0], [1.0]])
     P_T = np.eye(2)
     opts = sl.SimOptions(step=2e-3)
-    ref = sl.simulate(sys_sw, 0, np.array([1.0, -0.2]), (0.0, 1.6), opts)
+    ref = sl.simulate(sys_sw, 0, np.array([1.0, -0.2]), (0.0, 2.2), opts)
+    assert len(ref.events) == 1  # the rollouts cross the switch
     sol = sl.hybrid_lqr_backward(sys_sw, ref, Q, V, B, P_T)
 
     prng = np.random.Generator(np.random.Philox(42))

@@ -573,6 +573,22 @@ def test_batched_numeric_saltation_on_matrix_products_matches_separate_runs():
         assert sl.matrix_rel_err(batched, per_run) <= 1e-8
 
 
+@pytest.mark.parametrize("friction", ["frictionless-slide", "infinite-stick"])
+def test_batched_callers_equal_their_one_row_fallback_bit_for_bit(friction):
+    # the finite-difference oracle and the linearization run on the stack,
+    # or one row at a time where a field refuses the stack; the ball-drop
+    # fields act on each row elementwise, so both give the same bits
+    _, sys_ = sl.ball_drop(sl.BallDropParams(theta=0.3, friction=friction))
+    one_row = _one_row_only(sys_)
+    for x0 in (np.array([0.0, 0.5, 1.0, 0.0]), np.array([0.1, 0.8, -0.4, 0.3])):
+        traj = sl.simulate(sys_, 0, x0, (0.0, 0.6))
+        ev = _first_impact(sys_, x0, (0.0, 0.6))
+        np.testing.assert_array_equal(sl.numeric_saltation(sys_, 0, ev.x_minus, ev.t_event),
+                                      sl.numeric_saltation(one_row, 0, ev.x_minus, ev.t_event))
+        np.testing.assert_array_equal(sl.fundamental_matrix(sys_, traj).phi,
+                                      sl.fundamental_matrix(one_row, traj).phi)
+
+
 def _control(ref, B, policy, t, x):
     """u = -K(t) (x - x_ref(t)), or 0 without a policy, sampled afresh."""
     if policy is None:
