@@ -46,7 +46,6 @@ from .oracles import (
     numeric_saltation,
 )
 from .propagation import (
-    CovarianceState,
     hybrid_lqr_backward,
     monodromy,
     propagate_covariance,

@@ -8,7 +8,16 @@ float time while the rows share one, else an (N,) array. The batched callers
 (`oracles.monte_carlo_covariance`, `oracles.numeric_saltation` and
 propagation's linearization) go through `_stack_or_each_row`, the one place
 that chooses: the stack, or one row at a time where a callable does not
-broadcast over a leading row axis. Every row follows the same rules:
+broadcast over a leading row axis.
+
+A stack keeps one memory layout per segment (and per `_flow_rows` call).
+Its first field call is made on a column-major stack; if the field returns a
+column-major result, as an elementwise field does, every later call of the
+segment sees column-major stacks too, so each state coordinate is
+contiguous; otherwise (a field built on a matrix product) the segment runs
+row-major. Compactions copy a column-major stack once, column by column.
+Callables get the same (N, n) shape and values in both layouts and must not
+rely on C-contiguity. Every row follows the same rules:
 
 - Grid. A row steps t + step from the start of its segment, shortens the
   last step to land on t_max, and restarts its grid at every event.
@@ -17,9 +26,10 @@ broadcast over a leading row axis. Every row follows the same rules:
   armed value crosses to the other side at a grid sample. Starting a
   segment exactly on a guard surface therefore never retriggers the event
   that produced it, which implements post-event re-arming without timers.
-- Bisection. A crossing is refined inside the step that detected it; the
-  state at a midpoint is one RK4 step from the step's left end. Each row
-  stops once its bracket is at most tol_t wide and then needs |g| <= tol_g.
+- Bisection. A crossing is refined inside the step that detected it, from
+  the guard values the scan found at the step's ends; the state at a
+  midpoint is one RK4 step from the step's left end. Each row stops once its
+  bracket is at most tol_t wide and then needs |g| <= tol_g.
 - Errors. A row raises EventLocalizationError, DegenerateGuard,
   TangentialEvent, AmbiguousEvent (two crossings within tol_t) and
   ZenoSuspected (more than max_events) under the same conditions whether it
@@ -139,6 +149,10 @@ class _OneRow:
     def call(self, fn, t, X, what):
         return np.asarray(fn(_float(t), X[0]), dtype=float)[None]
 
+    def lay_out(self, f, t, X, what):
+        """A (1, n) stack is row- and column-major at once: X as it is, with f(t, X)."""
+        return X, self.call(f, t, X, what)
+
     def guards(self, guards, t, X):
         t, x = _float(t), X[0]
         return np.array([[gd.value(t, x) for gd in guards]])
@@ -169,6 +183,19 @@ class _Stack:
             return np.asarray(fn(t, X), dtype=float)
         except Exception as exc:
             raise _NotBroadcast(f"{what} does not broadcast{self.hint}") from exc
+
+    def lay_out(self, f, t, X, what):
+        """X in the layout its rows keep, with the field f(t, X) on it.
+
+        Column-major (each coordinate contiguous) when f returns a
+        column-major result for a column-major X, as an elementwise field
+        does; else row-major, as for a field built on a matrix product.
+        """
+        X_col = np.asfortranarray(X)
+        out = self.call(f, t, X_col, what)
+        if out.flags.f_contiguous:
+            return X_col, out
+        return np.ascontiguousarray(X), out
 
     def guards(self, guards, t, X):
         def values(t, X):
@@ -231,6 +258,25 @@ def _take(t, mask):
     return t[mask] if isinstance(t, np.ndarray) else t
 
 
+def _rows(X: np.ndarray, sel) -> np.ndarray:
+    """The rows `sel` (a mask, increasing indices or a slice) of a stack, in
+    its layout. All rows are X itself; a column-major stack is otherwise
+    copied once, one column at a time."""
+    if isinstance(sel, slice):
+        return X[sel]
+    if sel.all() if sel.dtype == bool else sel.size == X.shape[0]:
+        return X
+    if X.flags.c_contiguous:
+        return X[sel]
+    cols = X.T
+    return (cols.compress(sel, axis=1) if sel.dtype == bool else cols.take(sel, axis=1)).T
+
+
+def _join(parts: list, col: bool) -> np.ndarray:
+    """Per-row arrays joined along their rows; stacks column-major if col."""
+    return np.concatenate([p.T for p in parts], axis=-1).T if col else np.concatenate(parts)
+
+
 def _per_row(t, n: int) -> np.ndarray:
     """A shared float time (or flag) as one value per row."""
     return t if isinstance(t, np.ndarray) else np.full(n, t)
@@ -253,23 +299,25 @@ def _arm(vals: np.ndarray, two_sided: np.ndarray) -> np.ndarray:
 class _Brackets(NamedTuple):
     """Rows whose armed guards crossed in their last step.
 
-    pos indexes the rows of the segment's group; sign holds, per outgoing
-    transition, the crossing sign (+1 or -1) or 0 where that guard did not
-    cross.
+    pos indexes the rows of the segment's group; g_lo and g_hi hold, per
+    outgoing transition, the guard values the scan found at the bracket's
+    ends; sign holds the crossing sign (+1 or -1) or 0 where that guard did
+    not cross.
     """
 
     pos: np.ndarray
     t_lo: np.ndarray
     x_lo: np.ndarray
+    g_lo: np.ndarray
     t_hi: np.ndarray
     x_hi: np.ndarray
+    g_hi: np.ndarray
     sign: np.ndarray
 
 
-def _check_field(rows, f, t, X: np.ndarray, what: str, out: Optional[np.ndarray] = None) -> None:
-    """Check a field's result `out` on the rows X (evaluated here if not given):
-    its shape, and on a stack its row 0 against a one-row call."""
-    out = rows.call(f, t, X, what) if out is None else out
+def _check_field(rows, f, t, X: np.ndarray, what: str, out: np.ndarray) -> None:
+    """Check a field's result `out` on the rows X: its shape, and on a stack
+    its row 0 against a one-row call."""
     if out.shape != X.shape:
         raise rows.error(f"{what} returned shape {out.shape[1:]}, expected ({X.shape[1]},){rows.hint}")
     rows.agree(f, t, X, out, what)
@@ -298,10 +346,11 @@ def _segment(rows, sys: HybridSystem, mode: ModeId, t, X: np.ndarray, t_max: flo
              step: float, samples: Optional[tuple[list, list]] = None):
     """Integrate rows in one mode until each reaches t_max or an armed guard crosses.
 
-    t is the rows' shared float time or an array of their own times. Returns
-    (positions, states) of the rows that reached t_max and the _Brackets of
-    the rows that crossed, or None. `samples` = (times, states) collects the
-    grid of a one-row segment, up to its bracket's left end.
+    t is the rows' shared float time or an array of their own times. The
+    rows keep the layout `rows.lay_out` chooses from the field's first call.
+    Returns (positions, states) of the rows that reached t_max and the
+    _Brackets of the rows that crossed, or None. `samples` = (times, states)
+    collects the grid of a one-row segment, up to its bracket's left end.
     """
     field = sys.modes[mode]
     if X.shape[1:] != (field.dim,):
@@ -310,12 +359,15 @@ def _segment(rows, sys: HybridSystem, mode: ModeId, t, X: np.ndarray, t_max: flo
         raise NonFiniteState(f"non-finite initial state in mode {mode} at t={t}")
     if _any(t_max < t):
         raise ValueError(f"t_max={t_max} precedes t0={t}")
-    f = field.f
-    _check_field(rows, f, t, X, f"mode {mode} field")
+    f, what = field.f, f"mode {mode} field"
+    X, out = rows.lay_out(f, t, X, what)
+    _check_field(rows, f, t, X, what, out)
+    col = not X.flags.c_contiguous
 
     guards = [tr.guard for _, tr in sys.outgoing(mode)]
     two_sided = np.array([gd.two_sided for gd in guards], dtype=bool)
-    armed = _arm(rows.guards(guards, t, X), two_sided)
+    vals = rows.guards(guards, t, X)
+    armed = _arm(vals, two_sided)
     all_armed = armed.all()
     pos = np.arange(X.shape[0])
     ended, crossed = [], []
@@ -326,9 +378,9 @@ def _segment(rows, sys: HybridSystem, mode: ModeId, t, X: np.ndarray, t_max: flo
         done = t >= t_max
         if _any(done):
             done = _per_row(done, pos.size)
-            ended.append((pos[done], X[done]))
+            ended.append((pos[done], _rows(X, done)))
             keep = ~done
-            pos, X, armed, t = pos[keep], X[keep], armed[keep], _take(t, keep)
+            pos, X, vals, armed, t = pos[keep], _rows(X, keep), vals[keep], armed[keep], _take(t, keep)
             continue
 
         t_next = t + step
@@ -343,21 +395,23 @@ def _segment(rows, sys: HybridSystem, mode: ModeId, t, X: np.ndarray, t_max: flo
         if not np.isfinite(X_next).all():
             raise NonFiniteState(f"non-finite state in mode {mode} at t={t_next}")
 
-        vals = rows.guards(guards, t_next, X_next)
-        fired = armed * vals <= 0.0
+        vals_next = rows.guards(guards, t_next, X_next)
+        fired = armed * vals_next <= 0.0
         if not all_armed:
             fired &= armed != 0.0
-            armed = np.where(armed == 0.0, _arm(vals, two_sided), armed)
+            armed = np.where(armed == 0.0, _arm(vals_next, two_sided), armed)
             all_armed = armed.all()
         if fired.any():
             hit = fired.any(axis=1)
-            crossed.append((pos[hit], _per_row(t, hit.size)[hit], X[hit],
-                            _per_row(t_next, hit.size)[hit], X_next[hit], armed[hit] * fired[hit]))
+            crossed.append((pos[hit], _per_row(t, hit.size)[hit], _rows(X, hit), vals[hit],
+                            _per_row(t_next, hit.size)[hit], _rows(X_next, hit), vals_next[hit],
+                            armed[hit] * fired[hit]))
             keep = ~hit
-            pos, armed, X_next, t_next = pos[keep], armed[keep], X_next[keep], _take(t_next, keep)
+            pos, armed, t_next = pos[keep], armed[keep], _take(t_next, keep)
+            X_next, vals_next = _rows(X_next, keep), vals_next[keep]
             if not pos.size:
                 break
-        t, X = t_next, X_next
+        t, X, vals = t_next, X_next, vals_next
         if samples is not None:
             samples[0].append(t)
             samples[1].append(X[0])
@@ -367,22 +421,27 @@ def _segment(rows, sys: HybridSystem, mode: ModeId, t, X: np.ndarray, t_max: flo
         end = (np.concatenate([p for p, _ in ended]), np.concatenate([x for _, x in ended]))
     if not crossed:
         return end, None
-    return end, _Brackets(*(np.concatenate(parts) for parts in zip(*crossed)))
+    return end, _Brackets(*(_join(parts, col) for parts in zip(*crossed)))
 
 
 def _locate(rows, f, guard: GuardSpec, sign: np.ndarray, t_a: np.ndarray, x_a: np.ndarray,
-            t_b: np.ndarray, x_b: np.ndarray, opts: SimOptions):
+            t_b: np.ndarray, x_b: np.ndarray, opts: SimOptions, g_ab: Optional[tuple] = None):
     """Refine each row's crossing of `guard` inside its bracket [t_a, t_b].
 
-    The state at a midpoint is one RK4 step from the left end (t_a, x_a);
-    each row stops once its own bracket is at most tol_t wide and keeps the
-    end nearer the surface. Returns (t_event, x_minus, guard_residual,
-    transversality) per row; raises EventLocalizationError, NonFiniteState,
-    DegenerateGuard or TangentialEvent per the located-event checks.
+    g_ab = (g_a, g_b) are the guard's values at the bracket's ends as the
+    scan found them (evaluated here if not given): a guard whose last bits
+    depend on the batch could flip the sign of a value near zero if it were
+    evaluated again on the crossing rows alone. The state at a midpoint is
+    one RK4 step from the left end (t_a, x_a); each row stops once its own
+    bracket is at most tol_t wide and keeps the end nearer the surface.
+    Returns (t_event, x_minus, guard_residual, transversality) per row;
+    raises EventLocalizationError, NonFiniteState, DegenerateGuard or
+    TangentialEvent per the located-event checks.
     """
-    t_lo, x_lo, t_hi, x_hi = t_a, x_a, t_b, x_b
-    g_lo = sign * rows.guards([guard], t_lo, x_lo)[:, 0]
-    g_hi = sign * rows.guards([guard], t_hi, x_hi)[:, 0]
+    if g_ab is None:
+        g_ab = rows.guards([guard], t_a, x_a)[:, 0], rows.guards([guard], t_b, x_b)[:, 0]
+    t_lo, t_hi = t_a, t_b
+    g_lo, g_hi = sign * g_ab[0], sign * g_ab[1]
     bad = (g_lo <= 0.0) | (g_hi > 0.0)
     if bad.any():
         r = _first(bad)
@@ -391,6 +450,7 @@ def _locate(rows, f, guard: GuardSpec, sign: np.ndarray, t_a: np.ndarray, x_a: n
             f"(g_lo={g_lo[r]}, g_hi={g_hi[r]})"
         )
 
+    moved_lo = moved_hi = np.zeros(t_a.shape, dtype=bool)
     for _ in range(200):
         active = t_hi - t_lo > opts.tol_t
         if not active.any():
@@ -403,12 +463,17 @@ def _locate(rows, f, guard: GuardSpec, sign: np.ndarray, t_a: np.ndarray, x_a: n
         g_mid = sign * rows.guards([guard], t_mid, x_mid)[:, 0]
         up = active & (g_mid > 0.0)
         down = active ^ up
-        t_lo, x_lo, g_lo = np.where(up, t_mid, t_lo), np.where(up[:, None], x_mid, x_lo), np.where(up, g_mid, g_lo)
-        t_hi, x_hi, g_hi = np.where(down, t_mid, t_hi), np.where(down[:, None], x_mid, x_hi), np.where(down, g_mid, g_hi)
+        t_lo, g_lo, moved_lo = np.where(up, t_mid, t_lo), np.where(up, g_mid, g_lo), moved_lo | up
+        t_hi, g_hi, moved_hi = np.where(down, t_mid, t_hi), np.where(down, g_mid, g_hi), moved_hi | down
 
     pick_hi = np.abs(g_hi) <= np.abs(g_lo)
     t_e = np.where(pick_hi, t_hi, t_lo)
-    x_e = np.where(pick_hi[:, None], x_hi, x_lo)
+    # an end that moved is a midpoint: its state is the same one RK4 step
+    # from (t_a, x_a) on the same stack, so it has the same bits
+    x_e = np.where(pick_hi[:, None], x_b, x_a)
+    moved = np.where(pick_hi, moved_hi, moved_lo)
+    if moved.any():
+        x_e = np.where(moved[:, None], rows.rk4(f, t_a, x_a, t_e - t_a), x_e)
     residual = np.abs(np.where(pick_hi, g_hi, g_lo))
     bad = residual > opts.tol_g
     if bad.any():
@@ -451,12 +516,14 @@ def _resolve(rows, sys: HybridSystem, mode: ModeId, br: _Brackets, opts: SimOpti
         sub = np.flatnonzero(br.sign[:, j])
         if not sub.size:
             continue
-        t_j, x_j, res_j, deriv_j = _locate(rows, f, tr.guard, br.sign[sub, j], br.t_lo[sub],
-                                           br.x_lo[sub], br.t_hi[sub], br.x_hi[sub], opts)
+        t_j, x_j, res_j, deriv_j = _locate(rows, f, tr.guard, br.sign[sub, j],
+                                           br.t_lo[sub], _rows(br.x_lo, sub),
+                                           br.t_hi[sub], _rows(br.x_hi, sub), opts,
+                                           (br.g_lo[sub, j], br.g_hi[sub, j]))
         t_all[sub, j] = t_j
         first = t_j < t_e[sub]
         win = sub[first]
-        j_e[win], t_e[win], x_e[win] = j, t_j[first], x_j[first]
+        j_e[win], t_e[win], x_e[win] = j, t_j[first], _rows(x_j, first)
         res[win], deriv[win] = res_j[first], deriv_j[first]
 
     if len(outs) > 1:
@@ -550,15 +617,16 @@ def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, 
             sub = np.flatnonzero(j_e == j)
             if not sub.size:
                 continue
+            x_sub = _rows(x_minus, sub)
             if first is not None:
-                first.append((hit[sub], idx, t_e[sub], x_minus[sub]))
+                first.append((hit[sub], idx, t_e[sub], x_sub))
                 continue
             what = f"reset of transition {idx}"
-            x_plus = rows.call(tr.reset.r, t_e[sub], x_minus[sub], what)
+            x_plus = rows.call(tr.reset.r, t_e[sub], x_sub, what)
             dim = sys.dim(tr.to_mode)
             if x_plus.shape != (sub.size, dim):
                 raise rows.error(f"{what} returned shape {x_plus.shape[1:]}, expected ({dim},){rows.hint}")
-            rows.agree(tr.reset.r, t_e[sub], x_minus[sub], x_plus, what)
+            rows.agree(tr.reset.r, t_e[sub], x_sub, x_plus, what)
             if not np.isfinite(x_plus).all():
                 r = _first(~np.isfinite(x_plus).all(axis=1))
                 raise NonFiniteState(f"non-finite reset state at t={t_e[sub][r]}")
@@ -584,7 +652,7 @@ def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, 
                 finals.append((r[at_end], x_plus[at_end]))
             go_on = ~at_end
             if go_on.any():
-                pending.setdefault(tr.to_mode, []).append((r[go_on], t_e[sub][go_on], x_plus[go_on]))
+                pending.setdefault(tr.to_mode, []).append((r[go_on], t_e[sub][go_on], _rows(x_plus, go_on)))
 
     X_f = np.empty((n_rows, finals[-1][1].shape[1] if finals else X0.shape[1]))
     for r, x in finals:
@@ -623,10 +691,10 @@ def _rk4_steps(rk4, f, t_a, x: np.ndarray, t_b, m: int) -> np.ndarray:
 def _flow_rows(rows, f, t0, X: np.ndarray, t1: float, step: float) -> np.ndarray:
     """flow_to on each row of a stack, from the rows' shared t0 or their own
     (N,) start times to t1."""
-    X = np.array(X, dtype=float)
-    _check_field(rows, f, t0, X, "field")
+    X, out = rows.lay_out(f, t0, np.array(X, dtype=float), "field")
+    _check_field(rows, f, t0, X, "field", out)
     for m, sel in _substep_groups(t0, t1, X.shape[0], step):
-        X[sel] = _rk4_steps(rows.rk4, f, _take(t0, sel), X[sel], t1, m)
+        X[sel] = _rk4_steps(rows.rk4, f, _take(t0, sel), _rows(X, sel), t1, m)
     return X
 
 

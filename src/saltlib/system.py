@@ -12,7 +12,8 @@ paths pass a stack of rows: `oracles.monte_carlo_covariance` and
 share one and an (N,) array of times otherwise, and propagation's
 linearization a mode's field and Jacobian the (K, n) stack of a segment's
 interval starts with (K,) times; a Jacobian then returns (K, n, n), or one
-(n, n) matrix for all rows. A callable that does not broadcast over the
+(n, n) matrix for all rows. A stack may be column-major, so a callable
+must not rely on C-contiguity. A callable that does not broadcast over the
 leading row axis makes the engine's one driver run these paths one row (or
 interval) at a time (README "Simulation semantics").
 Analytic Jacobians are optional on every spec; central finite differences

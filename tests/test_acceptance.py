@@ -8,6 +8,7 @@ import io
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import numpy as np
 
@@ -442,20 +443,13 @@ def test_criterion_08_riccati_jump_psd_and_lqr_beats_perturbed_gains():
     cost_opt = sl.brute_force_cost(sys_sw, ref, Q, V, B, P_T, policy=sol,
                                    perturbations=pert_rows, options=opts)
 
-    class _Shifted:
-        def __init__(self, base, delta):
-            self.base, self.delta = base, delta
-
-        def gain_at(self, t):
-            return self.base.gain_at(t) + self.delta
-
     knorm = float(np.linalg.norm(sol.gains[0]))
     beaten = 0
     min_margin = np.inf
     for _ in range(100):
         delta = 0.1 * knorm * prng.standard_normal((1, 2))
         cost_k = sl.brute_force_cost(sys_sw, ref, Q, V, B, P_T,
-                                     policy=_Shifted(sol, delta),
+                                     policy=replace(sol, gains=tuple(g + delta for g in sol.gains)),
                                      perturbations=pert_rows, options=opts)
         min_margin = min(min_margin, cost_k - cost_opt)
         if cost_k >= cost_opt:

@@ -135,6 +135,42 @@ def test_numeric_saltation_checks_expected_transition():
         sl.numeric_saltation(sys_, 0, ev.x_minus, ev.t_event, expected_transition=3)
 
 
+# Ball drops whose reference row lands on the impact guard at a grid sample:
+# numeric_saltation flows it back 5 steps and steps forward on the same grid.
+# A bracket whose ends are evaluated again on the crossing rows alone can read
+# the guard there, about 1e-19, with the other sign than the scan did.
+_ON_GRID_DRAWS = {"slide": (125, 132, 139, 486, 689, 780, 908, 940, 1094, 1253),
+                  "stick": (45, 46, 112, 522, 546, 728, 844, 924, 974, 1378, 1437)}
+
+
+def _ball_drop_impact(i: int, kind: str, theta: float = 0.3, a_g: float = 9.81):
+    """(t, x_minus) of the first touchdown of draw i: a drop above the
+    incline, the first draw of a generator seeded [77, i] for a slide and
+    the second for a stick, in closed form."""
+    rng = np.random.default_rng([77, i])
+    for _ in range(1 + (kind == "stick")):
+        x0 = np.array([rng.uniform(-0.2, 0.2), rng.uniform(0.6, 1.0),
+                       rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)])
+    n = np.array([np.sin(theta), np.cos(theta)])
+    d0, vn, an = float(n @ x0[:2]), float(n @ x0[2:]), a_g * n[1]
+    t = (vn + np.sqrt(vn * vn + 2.0 * an * d0)) / an
+    acc = np.array([0.0, -a_g])
+    return t, np.concatenate([x0[:2] + x0[2:] * t + 0.5 * acc * t * t, x0[2:] + acc * t])
+
+
+@pytest.mark.parametrize("kind", ["slide", "stick"])
+def test_numeric_saltation_localizes_references_that_land_on_the_guard(kind):
+    params = sl.BallDropParams(theta=0.3, friction="frictionless-slide" if kind == "slide"
+                               else "infinite-stick")
+    _, sys_ = sl.ball_drop(params)
+    for i in _ON_GRID_DRAWS[kind]:
+        t_e, x_minus = _ball_drop_impact(i, kind)
+        xi = sl.numeric_saltation(sys_, 0, x_minus, t_e, expected_transition=0)
+        closed = (sl.slide_impact_saltation(0.3) if kind == "slide"
+                  else sl.stick_impact_saltation(0.3, *x_minus[2:]))
+        assert sl.matrix_rel_err(xi, closed) < 1e-4, i
+
+
 def test_monte_carlo_matches_linear_pushforward():
     sys_ = _constant_flow()
     opts = sl.SimOptions(step=5e-3)
@@ -638,20 +674,13 @@ def _switch_across_event():
     return sys_, ref, weights, opts, sl.hybrid_lqr_backward(sys_, ref, *weights)
 
 
-class _Shifted:
-    def __init__(self, base, delta):
-        self.base, self.delta = base, delta
-
-    def gain_at(self, t):
-        return self.base.gain_at(t) + self.delta
-
-
 @pytest.mark.parametrize("n_rows", [1, 3])
 @pytest.mark.parametrize("with_policy", [True, False])
 def test_brute_force_cost_equals_the_per_stage_loop_bit_for_bit(with_policy, n_rows):
     sys_, ref, weights, opts, sol = _switch_across_event()
     rows = 1e-3 * np.random.Generator(np.random.Philox(7)).standard_normal((n_rows, 2))
-    policy = _Shifted(sol, np.array([[0.3, -0.2]])) if with_policy else None
+    delta = np.array([[0.3, -0.2]])
+    policy = replace(sol, gains=tuple(g + delta for g in sol.gains)) if with_policy else None
     cost = sl.brute_force_cost(sys_, ref, *weights, policy=policy, perturbations=rows,
                                options=opts)
     expected = _brute_force_cost_per_stage(sys_, ref, *weights, policy, rows, opts)
@@ -700,7 +729,8 @@ def test_lqr_schedule_beats_gain_shifts_across_the_switch(monkeypatch):
     prng = np.random.Generator(np.random.Philox(42))
     rows = 1e-3 * prng.standard_normal((3, 2))
     knorm = float(np.linalg.norm(sol.gains[0]))
-    shifted = [_Shifted(sol, 0.1 * knorm * prng.standard_normal((1, 2))) for _ in range(8)]
+    shifted = [replace(sol, gains=tuple(g + delta for g in sol.gains))
+               for delta in (0.1 * knorm * prng.standard_normal((1, 2)) for _ in range(8))]
 
     for policy in [sol] + shifted:
         for row in rows:

@@ -1,5 +1,7 @@
 """Hybrid simulation: integration accuracy, event localization, error taxonomy."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from saltlib.errors import (
     TangentialEvent,
     ZenoSuspected,
 )
+from saltlib.simulate import _STACK, _locate, _rollout, _segment
 
 G = 9.81
 
@@ -242,3 +245,124 @@ def test_interpolate_and_segment_lookup():
     assert traj.segment_at(0.5) == 1
     with pytest.raises(ValueError):
         traj.segment_at(2.0)
+
+
+# ---------------------------------------------------------------------------
+# the batched engine: stack layout and bracket ends
+
+
+def _recording(sys_, seen):
+    """sys_ whose mode fields append (mode, rows, F-contiguous, C-contiguous)
+    of every stack of more than one row they are called on to `seen`."""
+    def wrap(mode, spec):
+        def f(t, x):
+            if x.ndim == 2 and x.shape[0] > 1:
+                seen.append((mode, x.shape[0], x.flags.f_contiguous, x.flags.c_contiguous))
+            return spec.f(t, x)
+        return sl.VectorFieldSpec(dim=spec.dim, f=f, jac_x=spec.jac_x)
+    return replace(sys_, modes=tuple(wrap(k, m) for k, m in enumerate(sys_.modes)))
+
+
+def test_elementwise_fields_see_column_major_stacks_through_an_impact():
+    seen = []
+    _, sys_ = sl.ball_drop(sl.BallDropParams(theta=0.3))
+    rng = np.random.default_rng(5)
+    X0 = np.column_stack([rng.uniform(-0.2, 0.2, 64), rng.uniform(0.6, 1.0, 64),
+                          rng.uniform(-0.3, 0.3, 64), rng.uniform(-0.3, 0.3, 64)])
+    X_f, codes = _rollout(_STACK, _recording(sys_, seen), 0, 0.0, X0, 0.6, sl.SimOptions())
+    assert codes.tolist() == [1] * 64
+    # the flight is compacted as rows touch down one step after another, and
+    # the slide continues from their resets on each row's own grid
+    assert len({n for mode, n, _, _ in seen if mode == 0}) > 10
+    assert any(mode == 1 for mode, _, _, _ in seen)
+    assert all(f_contig and not c_contig for _, _, f_contig, c_contig in seen)
+    for x0, x_f in zip(X0[:4], X_f[:4]):
+        assert np.abs(sl.simulate(sys_, 0, x0, (0.0, 0.6)).x_end - x_f).max() < 1e-12
+
+
+def test_matrix_product_fields_keep_row_major_stacks():
+    seen = []
+    sys_ = sl.bouncing_ball(e=0.5)
+    X0 = np.column_stack([np.linspace(0.5, 1.5, 16), np.zeros(16)])
+    _rollout(_STACK, _recording(sys_, seen), 0, 0.0, X0, 0.6, sl.SimOptions())
+    assert len({n for _, n, _, _ in seen}) > 2
+    # a segment's first call probes the field on a column-major stack; the
+    # field answers row-major, and the segment runs on row-major stacks
+    for (_, n, f_contig, c_contig), nxt in zip(seen, seen[1:] + [None]):
+        if not c_contig:
+            assert nxt is not None and nxt[1:] == (n, False, True)
+    assert sum(not c_contig for _, _, _, c_contig in seen) < len(seen) / 20
+
+
+def _where_bisection(rows, f, guard, sign, t_a, x_a, t_b, x_b, g_a, g_b, tol_t):
+    """The bisection that carries both ends' states through np.where: the
+    state at every midpoint, kept for the one it settles on."""
+    t_lo, x_lo, g_lo, t_hi, x_hi, g_hi = t_a, x_a, sign * g_a, t_b, x_b, sign * g_b
+    for _ in range(200):
+        active = t_hi - t_lo > tol_t
+        if not active.any():
+            break
+        t_mid = 0.5 * (t_lo + t_hi)
+        x_mid = rows.rk4(f, t_a, x_a, t_mid - t_a)
+        g_mid = sign * rows.guards([guard], t_mid, x_mid)[:, 0]
+        up = active & (g_mid > 0.0)
+        down = active ^ up
+        t_lo, x_lo, g_lo = np.where(up, t_mid, t_lo), np.where(up[:, None], x_mid, x_lo), np.where(up, g_mid, g_lo)
+        t_hi, x_hi, g_hi = np.where(down, t_mid, t_hi), np.where(down[:, None], x_mid, x_hi), np.where(down, g_mid, g_hi)
+    pick_hi = np.abs(g_hi) <= np.abs(g_lo)
+    return np.where(pick_hi, t_hi, t_lo), np.where(pick_hi[:, None], x_hi, x_lo)
+
+
+def _bisection_cases():
+    rng = np.random.default_rng(11)
+    drops = np.column_stack([rng.uniform(-0.2, 0.2, 40), rng.uniform(0.6, 1.0, 40),
+                             rng.uniform(-0.3, 0.3, 40), rng.uniform(-0.3, 0.3, 40)])
+    return {
+        "slide": (sl.ball_drop(sl.BallDropParams(theta=0.3))[1], drops, 0.6),
+        "stick": (sl.ball_drop(sl.BallDropParams(theta=0.3, friction="infinite-stick"))[1],
+                  drops, 0.6),
+        "bounce": (sl.bouncing_ball(e=0.5),
+                   np.column_stack([rng.uniform(0.5, 1.5, 40), rng.uniform(-1.0, 1.0, 40)]), 0.6),
+        "field switch": (sl.field_switch(),
+                         np.array([1.0, -0.2]) + 0.05 * rng.standard_normal((40, 2)), 2.2),
+    }
+
+
+@pytest.mark.parametrize("case", ["slide", "stick", "bounce", "field switch"])
+def test_bisection_settles_on_the_states_the_where_loop_carries(case):
+    sys_, X0, t_max = _bisection_cases()[case]
+    opts = sl.SimOptions()
+    _, br = _segment(_STACK, sys_, 0, 0.0, X0, t_max, opts.step)
+    assert br.pos.size > 20
+    f, guard = sys_.modes[0].f, sys_.transitions[0].guard
+    sign = br.sign[:, 0]
+    g_ab = br.g_lo[:, 0], br.g_hi[:, 0]
+    t_e, x_e, _, _ = _locate(_STACK, f, guard, sign, br.t_lo, br.x_lo, br.t_hi, br.x_hi, opts, g_ab)
+    t_w, x_w = _where_bisection(_STACK, f, guard, sign, br.t_lo, br.x_lo, br.t_hi, br.x_hi,
+                                *g_ab, opts.tol_t)
+    assert t_e.tobytes() == t_w.tobytes()
+    assert x_e.tobytes() == x_w.tobytes()
+
+
+def test_bracket_ends_are_the_scans_guard_values():
+    # a guard whose last bits depend on the batch's row count, as a matrix
+    # product's rounding can: row 0 lands exactly on the surface at the grid
+    # sample t = 0.5, where the scan's two-row batch reads +1e-300. The
+    # crossing rows alone, one row here, read -1e-300 there, so a bracket
+    # whose ends were evaluated again would not straddle the guard.
+    def g(t, x):
+        return x[..., 0] + (1e-300 if x.ndim == 2 and x.shape[0] > 1 else -1e-300)
+
+    fall = sl.VectorFieldSpec(dim=1, f=lambda t, x: np.full_like(x, -1.0))
+    guard = sl.GuardSpec(g=g, jac_x=lambda t, x: np.ones_like(x), jac_t=lambda t, x: 0.0)
+    sys_ = sl.HybridSystem(modes=(fall, fall),
+                           transitions=(sl.TransitionSpec(0, 1, guard, sl.identity_reset(1)),))
+    opts = sl.SimOptions(step=0.125)
+    X0 = np.array([[0.5], [2.0]])
+    assert sl.flow_to(fall.f, 0.0, X0[0], 0.5, opts.step)[0] == 0.0
+    first = []
+    _rollout(_STACK, sys_, 0, 0.0, X0, 1.0, opts, first=first)
+    (rows, idx, t_e, x_minus), = first
+    assert rows.tolist() == [0] and idx == 0
+    assert t_e.tolist() == [0.5]
+    assert x_minus.tolist() == [[0.0]]
