@@ -39,6 +39,7 @@ from .models import (
     stick_impact_saltation,
 )
 from .oracles import (
+    OracleReport,
     brute_force_cost,
     compare,
     matrix_rel_err,
@@ -54,7 +55,7 @@ from .propagation import (
 from .rigidbody import closed_form_saltation
 from .saltation import classify_structure, saltation_matrix
 from .simulate import _ONE_ROW, DEFAULT_STEP, SimOptions, _locate, simulate
-from .system import GuardSpec, HybridSystem
+from .system import GuardSpec, HybridSystem, affine_field
 from .trajectory import HybridTrajectory
 
 EXIT_OK = 0
@@ -65,6 +66,10 @@ EXIT_TANGENTIAL = 4
 EXIT_SCHEMA = 5
 EXIT_ORACLE = 6
 EXIT_USAGE = 64
+
+# the exit code of a failure of each class, in order; any other failure is EXIT_FAIL
+_FAILURE_CODES = ((ZenoSuspected, EXIT_ZENO), (AmbiguousEvent, EXIT_AMBIGUOUS),
+                  (TangentialEvent, EXIT_TANGENTIAL), (SchemaError, EXIT_SCHEMA))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -552,8 +557,6 @@ def _verify_checks(seed: int, mc_samples: int, step: float) -> list[dict]:
     # 4: smooth variational flow against the spiral closed form
     alpha, omega, T = -0.4, 2.0, 1.25
     A = np.array([[alpha, -omega], [omega, alpha]])
-    from .system import affine_field
-
     sys_lin = HybridSystem(
         modes=(affine_field(A, np.zeros(2)),),
         transitions=(),
@@ -580,13 +583,7 @@ def _verify_checks(seed: int, mc_samples: int, step: float) -> list[dict]:
                                       n_samples=mc_samples, seed=seed, options=opts)
     ref = prop[-1].sigma
     frob = float(np.linalg.norm(sigma_mc - ref) / np.linalg.norm(ref))
-    checks.append({
-        "name": "slide-impact-monte-carlo",
-        "analytic": _py(ref),
-        "numeric": _py(sigma_mc),
-        "max_rel_err": frob,
-        "pass": frob <= 0.05,
-    })
+    add(OracleReport("slide-impact-monte-carlo", ref, sigma_mc, frob, frob <= 0.05))
 
     # 7: LQR cost optimality on the field switch
     sys_sw = field_switch()
@@ -611,13 +608,8 @@ def _verify_checks(seed: int, mc_samples: int, step: float) -> list[dict]:
         trials.append(cost_k)
         if cost_k >= cost_opt:
             worse += 1
-    checks.append({
-        "name": "lqr-cost-optimality",
-        "analytic": cost_opt,
-        "numeric": trials,
-        "max_rel_err": 0.0 if worse == len(trials) else 1.0,
-        "pass": worse == len(trials),
-    })
+    add(OracleReport("lqr-cost-optimality", cost_opt, trials,
+                     0.0 if worse == len(trials) else 1.0, worse == len(trials)))
     return checks
 
 
@@ -703,21 +695,9 @@ def main(argv=None) -> int:
     try:
         _validate_threads(args)
         return args.fn(args)
-    except ZenoSuspected as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_ZENO
-    except AmbiguousEvent as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_AMBIGUOUS
-    except TangentialEvent as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_TANGENTIAL
-    except SchemaError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_SCHEMA
     except (SaltlibError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_FAIL
+        return next((code for cls, code in _FAILURE_CODES if isinstance(exc, cls)), EXIT_FAIL)
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ from .saltation import SaltationResult, saltation_matrix
 from .simulate import (DEFAULT_STEP, _ONE_ROW, _check_field, _check_jacobian, _first, _float,
                        _rk4_steps, _stack_or_each_row, _substep_groups, _take, rk4_step)
 from .system import HybridSystem, ModeId
-from .trajectory import HybridTrajectory
+from .trajectory import HybridTrajectory, Segment
 
 TOL_STAB = 1e-9
 
@@ -405,20 +405,6 @@ class LqrSolution:
         return self.values[0]
 
 
-def _check_stage_shapes(sys: HybridSystem, traj: HybridTrajectory, q_fn, v_fn, b_fn) -> None:
-    """Check Q, V and B at the first interval the backward pass reaches."""
-    seg = next((seg for seg in reversed(traj.segments) if seg.times.size > 1), None)
-    if seg is None:
-        return
-    t0, n = float(seg.times[-2]), sys.dim(seg.mode)
-    _require_square(q_fn(t0), "Q", sys, seg.mode)
-    b, v = b_fn(t0), v_fn(t0)
-    if b.ndim != 2 or b.shape[0] != n:
-        raise ValueError(f"B has shape {b.shape}, expected ({n}, k) for mode {sys.mode_label(seg.mode)}")
-    if v.shape != (b.shape[1],) * 2:
-        raise ValueError(f"V has shape {v.shape}, expected {(b.shape[1],) * 2} for the columns of B")
-
-
 def _stages(m: MatrixLike, t0: np.ndarray) -> np.ndarray:
     """m at every interval start t0 (K,) as a (K, r, c) stack: a callable is
     called once per start, a constant array is broadcast (a read-only view)."""
@@ -426,6 +412,21 @@ def _stages(m: MatrixLike, t0: np.ndarray) -> np.ndarray:
         return np.stack([np.asarray(m(t), dtype=float) for t in t0.tolist()])
     m = np.asarray(m, dtype=float)
     return np.broadcast_to(m, (t0.size, *m.shape))
+
+
+def _lqr_stages(sys: HybridSystem, seg: Segment, Q: MatrixLike, V: MatrixLike, B: MatrixLike) -> tuple:
+    """(dt B_k, dt Q_k, dt V_k) stacks over a segment's intervals, their
+    shapes checked against its mode (Q, then B, then V)."""
+    t0 = seg.times[:-1]
+    dt = (seg.times[1:] - t0)[:, None, None]
+    n = sys.dim(seg.mode)
+    q, b, v = _stages(Q, t0), _stages(B, t0), _stages(V, t0)
+    _require_square(q[0], "Q", sys, seg.mode)
+    if b.ndim != 3 or b.shape[1] != n:
+        raise ValueError(f"B has shape {b.shape[1:]}, expected ({n}, k) for mode {sys.mode_label(seg.mode)}")
+    if v.shape[1:] != (b.shape[2],) * 2:
+        raise ValueError(f"V has shape {v.shape[1:]}, expected {(b.shape[2],) * 2} for the columns of B")
+    return dt * b, dt * q, dt * v
 
 
 def _require_definite(S: np.ndarray, t0: np.ndarray) -> None:
@@ -543,18 +544,16 @@ def hybrid_lqr_backward(
     """
     p = np.asarray(P_terminal, dtype=float)
     _require_square(p, "P_terminal", sys, traj.segments[-1].mode)
-    _check_stage_shapes(sys, traj, _as_matrix_fn(Q), _as_matrix_fn(V), _as_matrix_fn(B))
+    # every stage is evaluated and checked once, before the linearization
+    stages = [_lqr_stages(sys, seg, Q, V, B) if seg.times.size > 1 else None
+              for seg in reversed(traj.segments)][::-1]
     flows, xis = _linearize(sys, traj, step)
 
     p = _sym(p)
     parts = []  # (values, gains) per segment, from the last
     for k in reversed(range(len(traj.segments))):
-        A, times = flows[k], traj.segments[k].times
-        if len(A):
-            t0 = times[:-1]
-            dt = (times[1:] - t0)[:, None, None]
-            parts.append(_riccati_segment(A, dt * _stages(B, t0), dt * _stages(Q, t0),
-                                          dt * _stages(V, t0), p, t0))
+        if stages[k] is not None:
+            parts.append(_riccati_segment(flows[k], *stages[k], p, traj.segments[k].times[:-1]))
         else:
             parts.append((p[None], ()))
         p = parts[-1][0][0]

@@ -10,14 +10,15 @@ propagation's linearization) go through `_stack_or_each_row`, the one place
 that chooses: the stack, or one row at a time where a callable does not
 broadcast over a leading row axis.
 
-A stack keeps one memory layout per segment (and per `_flow_rows` call).
-Its first field call is made on a column-major stack; if the field returns a
-column-major result, as an elementwise field does, every later call of the
-segment sees column-major stacks too, so each state coordinate is
-contiguous; otherwise (a field built on a matrix product) the segment runs
-row-major. Compactions copy a column-major stack once, column by column.
-Callables get the same (N, n) shape and values in both layouts and must not
-rely on C-contiguity. Every row follows the same rules:
+Every segment (and every `_flow_rows` call) starts from a column-major
+stack, so each state coordinate is contiguous, and numpy carries the layout
+of the field's results into the RK4 arithmetic: an elementwise field keeps
+the stack column-major, while a field built on a matrix product returns
+row-major results and turns the stack row-major from its first RK4 stage.
+Brackets and a mode's incoming rows are joined column-major; compactions
+copy a column-major stack once, column by column. Callables get the same
+(N, n) shape and values in any layout and must not rely on C-contiguity.
+Every row follows the same rules:
 
 - Grid. A row steps t + step from the start of its segment, shortens the
   last step to land on t_max, and restarts its grid at every event.
@@ -149,10 +150,6 @@ class _OneRow:
     def call(self, fn, t, X, what):
         return np.asarray(fn(_float(t), X[0]), dtype=float)[None]
 
-    def lay_out(self, f, t, X, what):
-        """A (1, n) stack is row- and column-major at once: X as it is, with f(t, X)."""
-        return X, self.call(f, t, X, what)
-
     def guards(self, guards, t, X):
         t, x = _float(t), X[0]
         return np.array([[gd.value(t, x) for gd in guards]])
@@ -183,19 +180,6 @@ class _Stack:
             return np.asarray(fn(t, X), dtype=float)
         except Exception as exc:
             raise _NotBroadcast(f"{what} does not broadcast{self.hint}") from exc
-
-    def lay_out(self, f, t, X, what):
-        """X in the layout its rows keep, with the field f(t, X) on it.
-
-        Column-major (each coordinate contiguous) when f returns a
-        column-major result for a column-major X, as an elementwise field
-        does; else row-major, as for a field built on a matrix product.
-        """
-        X_col = np.asfortranarray(X)
-        out = self.call(f, t, X_col, what)
-        if out.flags.f_contiguous:
-            return X_col, out
-        return np.ascontiguousarray(X), out
 
     def guards(self, guards, t, X):
         def values(t, X):
@@ -272,9 +256,9 @@ def _rows(X: np.ndarray, sel) -> np.ndarray:
     return (cols.compress(sel, axis=1) if sel.dtype == bool else cols.take(sel, axis=1)).T
 
 
-def _join(parts: list, col: bool) -> np.ndarray:
-    """Per-row arrays joined along their rows; stacks column-major if col."""
-    return np.concatenate([p.T for p in parts], axis=-1).T if col else np.concatenate(parts)
+def _join(parts: list) -> np.ndarray:
+    """Per-row arrays joined along their rows; stacks column-major."""
+    return np.concatenate([p.T for p in parts], axis=-1).T
 
 
 def _per_row(t, n: int) -> np.ndarray:
@@ -315,11 +299,14 @@ class _Brackets(NamedTuple):
     sign: np.ndarray
 
 
-def _check_field(rows, f, t, X: np.ndarray, what: str, out: np.ndarray) -> None:
-    """Check a field's result `out` on the rows X: its shape, and on a stack
-    its row 0 against a one-row call."""
-    if out.shape != X.shape:
-        raise rows.error(f"{what} returned shape {out.shape[1:]}, expected ({X.shape[1]},){rows.hint}")
+def _check_field(rows, f, t, X: np.ndarray, what: str, out: np.ndarray,
+                 dim: Optional[int] = None) -> None:
+    """Check a field's (or a reset's) result `out` on the rows X: one state
+    of `dim` coordinates (by default X's own) per row, and on a stack its
+    row 0 against a one-row call."""
+    dim = X.shape[1] if dim is None else dim
+    if out.shape != (X.shape[0], dim):
+        raise rows.error(f"{what} returned shape {out.shape[1:]}, expected ({dim},){rows.hint}")
     rows.agree(f, t, X, out, what)
 
 
@@ -347,7 +334,8 @@ def _segment(rows, sys: HybridSystem, mode: ModeId, t, X: np.ndarray, t_max: flo
     """Integrate rows in one mode until each reaches t_max or an armed guard crosses.
 
     t is the rows' shared float time or an array of their own times. The
-    rows keep the layout `rows.lay_out` chooses from the field's first call.
+    stack starts column-major; the field's results set its layout from the
+    first RK4 stage on.
     Returns (positions, states) of the rows that reached t_max and the
     _Brackets of the rows that crossed, or None. `samples` = (times, states)
     collects the grid of a one-row segment, up to its bracket's left end.
@@ -360,9 +348,8 @@ def _segment(rows, sys: HybridSystem, mode: ModeId, t, X: np.ndarray, t_max: flo
     if _any(t_max < t):
         raise ValueError(f"t_max={t_max} precedes t0={t}")
     f, what = field.f, f"mode {mode} field"
-    X, out = rows.lay_out(f, t, X, what)
-    _check_field(rows, f, t, X, what, out)
-    col = not X.flags.c_contiguous
+    X = np.asfortranarray(X)
+    _check_field(rows, f, t, X, what, rows.call(f, t, X, what))
 
     guards = [tr.guard for _, tr in sys.outgoing(mode)]
     two_sided = np.array([gd.two_sided for gd in guards], dtype=bool)
@@ -421,7 +408,7 @@ def _segment(rows, sys: HybridSystem, mode: ModeId, t, X: np.ndarray, t_max: flo
         end = (np.concatenate([p for p, _ in ended]), np.concatenate([x for _, x in ended]))
     if not crossed:
         return end, None
-    return end, _Brackets(*(_join(parts, col) for parts in zip(*crossed)))
+    return end, _Brackets(*(_join(parts) for parts in zip(*crossed)))
 
 
 def _locate(rows, f, guard: GuardSpec, sign: np.ndarray, t_a: np.ndarray, x_a: np.ndarray,
@@ -586,7 +573,7 @@ def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, 
         ids, t, X = parts[0]
         if len(parts) > 1:
             ids = np.concatenate([p[0] for p in parts])
-            X = np.concatenate([p[2] for p in parts])
+            X = _join([p[2] for p in parts])
             t = np.concatenate([_per_row(p[1], p[0].size) for p in parts])
         if isinstance(t, np.ndarray) and t.size and (t == t[0]).all():
             t = float(t[0])
@@ -623,10 +610,7 @@ def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, 
                 continue
             what = f"reset of transition {idx}"
             x_plus = rows.call(tr.reset.r, t_e[sub], x_sub, what)
-            dim = sys.dim(tr.to_mode)
-            if x_plus.shape != (sub.size, dim):
-                raise rows.error(f"{what} returned shape {x_plus.shape[1:]}, expected ({dim},){rows.hint}")
-            rows.agree(tr.reset.r, t_e[sub], x_sub, x_plus, what)
+            _check_field(rows, tr.reset.r, t_e[sub], x_sub, what, x_plus, sys.dim(tr.to_mode))
             if not np.isfinite(x_plus).all():
                 r = _first(~np.isfinite(x_plus).all(axis=1))
                 raise NonFiniteState(f"non-finite reset state at t={t_e[sub][r]}")
@@ -691,8 +675,8 @@ def _rk4_steps(rk4, f, t_a, x: np.ndarray, t_b, m: int) -> np.ndarray:
 def _flow_rows(rows, f, t0, X: np.ndarray, t1: float, step: float) -> np.ndarray:
     """flow_to on each row of a stack, from the rows' shared t0 or their own
     (N,) start times to t1."""
-    X, out = rows.lay_out(f, t0, np.array(X, dtype=float), "field")
-    _check_field(rows, f, t0, X, "field", out)
+    X = np.array(X, dtype=float, order="F")
+    _check_field(rows, f, t0, X, "field", rows.call(f, t0, X, "field"))
     for m, sel in _substep_groups(t0, t1, X.shape[0], step):
         X[sel] = _rk4_steps(rows.rk4, f, _take(t0, sel), _rows(X, sel), t1, m)
     return X

@@ -12,9 +12,9 @@ paths pass a stack of rows: `oracles.monte_carlo_covariance` and
 share one and an (N,) array of times otherwise, and propagation's
 linearization a mode's field and Jacobian the (K, n) stack of a segment's
 interval starts with (K,) times; a Jacobian then returns (K, n, n), or one
-(n, n) matrix for all rows. A stack may be column-major, so a callable
-must not rely on C-contiguity. A callable that does not broadcast over the
-leading row axis makes the engine's one driver run these paths one row (or
+(n, n) matrix for all rows. Each segment of a batched rollout starts from
+a column-major stack, so a callable must not rely on C-contiguity. A
+callable that does not broadcast over the leading row axis makes the engine's one driver run these paths one row (or
 interval) at a time (README "Simulation semantics").
 Analytic Jacobians are optional on every spec; central finite differences
 fill in when absent, on 1-D states and on stacks alike.

@@ -280,18 +280,25 @@ def test_elementwise_fields_see_column_major_stacks_through_an_impact():
         assert np.abs(sl.simulate(sys_, 0, x0, (0.0, 0.6)).x_end - x_f).max() < 1e-12
 
 
-def test_matrix_product_fields_keep_row_major_stacks():
+def test_matrix_product_fields_turn_their_stacks_row_major():
     seen = []
     sys_ = sl.bouncing_ball(e=0.5)
     X0 = np.column_stack([np.linspace(0.5, 1.5, 16), np.zeros(16)])
-    _rollout(_STACK, _recording(sys_, seen), 0, 0.0, X0, 0.6, sl.SimOptions())
+    opts = sl.SimOptions()
+    _, br = _segment(_STACK, _recording(sys_, seen), 0, 0.0, X0, 0.6, opts.step)
+    # the segment's first field calls (its check and the first RK4 stage) see
+    # the column-major stack it starts from; x @ A.T answers row-major, so
+    # from the second RK4 stage on the field sees row-major stacks
+    assert [(f_contig, c_contig) for _, _, f_contig, c_contig in seen[:2]] == [(True, False)] * 2
     assert len({n for _, n, _, _ in seen}) > 2
-    # a segment's first call probes the field on a column-major stack; the
-    # field answers row-major, and the segment runs on row-major stacks
-    for (_, n, f_contig, c_contig), nxt in zip(seen, seen[1:] + [None]):
-        if not c_contig:
-            assert nxt is not None and nxt[1:] == (n, False, True)
-    assert sum(not c_contig for _, _, _, c_contig in seen) < len(seen) / 20
+    assert all(c_contig and not f_contig for _, _, f_contig, c_contig in seen[2:])
+    # brackets are joined column-major whatever the field's layout
+    assert br.pos.size == 16
+    assert br.x_lo.flags.f_contiguous and br.x_hi.flags.f_contiguous
+    X_f, codes = _rollout(_STACK, sys_, 0, 0.0, X0, 0.6, opts)
+    assert codes.tolist() == [1] * 16
+    for x0, x_f in zip(X0, X_f):
+        assert np.abs(sl.simulate(sys_, 0, x0, (0.0, 0.6)).x_end - x_f).max() <= 2.8e-14
 
 
 def _where_bisection(rows, f, guard, sign, t_a, x_a, t_b, x_b, g_a, g_b, tol_t):
