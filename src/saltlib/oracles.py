@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import EventOrderChanged, SplitDistribution
 from .propagation import MatrixLike, _as_matrix_fn, variational_flow
-from .simulate import _ONE_ROW, SimOptions, _flow_rows, _rollout, _stack_or_each_row, simulate
+from .simulate import (_ONE_ROW, SimOptions, _block_rows, _flow_rows, _rollout, _stack_or_each_row,
+                       simulate)
 from .system import HybridSystem, ModeId, VectorFieldSpec
 from .trajectory import HybridTrajectory
 
@@ -116,7 +117,7 @@ def numeric_saltation(
                 events[i] = (idx, t, reset.apply(t, x_minus[k]))
         return events
 
-    events = [ev for part in _stack_or_each_row(first_events, X.shape[0]) for ev in part]
+    events = [ev for part in _stack_or_each_row(first_events, *X.shape) for ev in part]
     for k, ev in enumerate(events):
         if ev is None:
             raise EventOrderChanged("a run reached t_stop without any event")
@@ -139,7 +140,7 @@ def numeric_saltation(
     t_e = t_e[1:]
     X_plus = np.stack([ev[2] for ev in events[1:]])
     X_f = np.concatenate(_stack_or_each_row(
-        lambda rows, s: _flow_rows(rows, f_j, t_e[s], X_plus[s], t_f, opts.step), t_e.size))
+        lambda rows, s: _flow_rows(rows, f_j, t_e[s], X_plus[s], t_f, opts.step), *X_plus.shape))
     cols = (X_f[0::2] - X_f[1::2]).T / (2.0 * h)
 
     A = variational_flow(sys, mode_j, t_e0, x_plus0, t_f, opts.step)
@@ -160,6 +161,19 @@ def _pairwise_sum(a: np.ndarray) -> np.ndarray:
         else:
             a = a[0::2] + a[1::2]
     return a[0]
+
+
+def _blocked_pairwise_sum(term: Callable[[slice], np.ndarray], n: int, block: int) -> np.ndarray:
+    """_pairwise_sum of the n rows that term(slice(0, n)) would return, bit
+    for bit, from term on aligned blocks of `block` rows (a power of two).
+
+    The tree pairs rows 2i and 2i + 1 and carries an odd tail to the end of
+    its level, so each aligned block of 2^k rows (and the short last block)
+    reduces to one node of the whole tree, and the tree over those nodes is
+    the rest of it.
+    """
+    return _pairwise_sum(np.stack([_pairwise_sum(term(slice(a, a + block)))
+                                   for a in range(0, n, block)]))
 
 
 def _psd_sqrt(sigma: np.ndarray) -> np.ndarray:
@@ -184,8 +198,14 @@ def monte_carlo_covariance(
     Draws n_samples Gaussian initial states with a counter-based generator
     (fully reproducible from seed), rolls each through the hybrid dynamics,
     and reduces with a fixed pairwise tree so results are byte-stable. The
-    samples roll as one batch, or one row at a time when a field, guard or
-    reset does not broadcast over a leading row axis.
+    samples roll in the engine's blocks of rows, or one row at a time when a
+    field, guard or reset does not broadcast over a leading row axis.
+
+    The sum of the samples' (n, n) outer products never holds all N of
+    them: each aligned block of 2^k samples (at most the engine's block
+    budget of products) is reduced by `_pairwise_sum`, and the block sums by
+    `_pairwise_sum` again. That is the one tree over all N, odd tails
+    included, so the covariance is bit-identical to a single pairwise sum.
 
     Raises SplitDistribution when more than split_tol of the samples execute
     a different event sequence than the mean trajectory does: a covariance
@@ -205,7 +225,7 @@ def monte_carlo_covariance(
 
     _, (nominal_code,) = _rollout(_ONE_ROW, sys, mode0, t0, mean0[None], t1, opts)
     runs = _stack_or_each_row(lambda rows, s: _rollout(rows, sys, mode0, t0, X0[s], t1, opts),
-                              n_samples)
+                              n_samples, n)
     X_f = np.concatenate([x for x, _ in runs])
     codes = np.concatenate([c for _, c in runs])
 
@@ -218,8 +238,8 @@ def monte_carlo_covariance(
 
     mean_f = _pairwise_sum(X_f) / n_samples
     dev = X_f - mean_f
-    outer = dev[:, :, None] * dev[:, None, :]
-    return _pairwise_sum(outer) / (n_samples - 1)
+    return _blocked_pairwise_sum(lambda s: dev[s, :, None] * dev[s, None, :], n_samples,
+                                 _block_rows(n * n)) / (n_samples - 1)
 
 
 # ---------------------------------------------------------------------------

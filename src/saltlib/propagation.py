@@ -153,7 +153,7 @@ def _linearize(sys: HybridSystem, traj: HybridTrajectory, step: float) -> _Linea
     for seg in traj.segments:
         t0, X0, t1 = seg.times[:-1], seg.states[:-1], seg.times[1:]
         flows.append(np.concatenate(_stack_or_each_row(
-            lambda rows, s: _flows(rows, sys, seg.mode, t0[s], X0[s], t1[s], step), t0.size)))
+            lambda rows, s: _flows(rows, sys, seg.mode, t0[s], X0[s], t1[s], step), *X0.shape)))
     flows = tuple(flows)
     xis = tuple(saltation_matrix(sys, ev).xi for ev in traj.events)
     for a in (*flows, *xis):

@@ -10,6 +10,21 @@ propagation's linearization) go through `_stack_or_each_row`, the one place
 that chooses: the stack, or one row at a time where a callable does not
 broadcast over a leading row axis.
 
+The stack runs in consecutive blocks of rows, each block to its end before
+the next starts. A block holds at most `_BLOCK_BYTES` (128 KiB) of states,
+rows x row width x 8 bytes, rounded down to a power of two rows: 4 096
+rows of 4 floats. Rows are independent, so a block does each row's
+arithmetic as the whole stack would (matrix-product callables aside, which
+round by batch; see the README). Blocks bound the working set, and the
+budget was chosen by minor page faults, not by cache size: every RK4 stage
+allocates and frees temporaries the size of its block, and large ones are
+most likely mapped afresh by malloc (glibc's mmap threshold starts at
+128 KiB) and faulted in again at every stage. A cold 100 000-row ball-drop
+`monte_carlo_covariance` call took 2.08 million faults as one stack and
+about 5 000 in blocks; a warm 20 000-row call takes about 3 500 with
+128 KiB blocks and 164 000 with 256 KiB blocks (BENCH_row_blocks.json).
+If any block fails with _NotBroadcast, every row runs one at a time.
+
 Every segment (and every `_flow_rows` call) starts from a column-major
 stack, so each state coordinate is contiguous, and numpy carries the layout
 of the field's results into the RK4 arithmetic: an elementwise field keeps
@@ -34,7 +49,8 @@ Every row follows the same rules:
 - Errors. A row raises EventLocalizationError, DegenerateGuard,
   TangentialEvent, AmbiguousEvent (two crossings within tol_t) and
   ZenoSuspected (more than max_events) under the same conditions whether it
-  runs alone or in a batch; a batch raises the first such error it meets.
+  runs alone or in a batch; a batch raises the first such error of its
+  earliest failing block.
 """
 
 from __future__ import annotations
@@ -77,13 +93,15 @@ class SimOptions:
     max_events: int = MAX_EVENTS
 
 
-def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, x: np.ndarray, h: float) -> np.ndarray:
-    """One classical Runge-Kutta step of size h.
+def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, x: np.ndarray, h: float,
+             k1: Optional[np.ndarray] = None) -> np.ndarray:
+    """One classical Runge-Kutta step of size h; k1 is f(t, x) if already known.
 
     For a stack of rows x (N, n), t and h may also be (N,) arrays.
     """
     hx = h[:, None] if isinstance(h, np.ndarray) else h
-    k1 = f(t, x)
+    if k1 is None:
+        k1 = f(t, x)
     k2 = f(t + 0.5 * h, x + (0.5 * hx) * k1)
     k3 = f(t + 0.5 * h, x + (0.5 * hx) * k2)
     k4 = f(t + h, x + hx * k3)
@@ -144,8 +162,12 @@ class _OneRow:
     hint = ""
     error = ValueError
 
-    def rk4(self, f, t, X, h):
-        return rk4_step(f, _float(t), X[0], _float(h))[None]
+    def first_stage(self, f, t, X):
+        """k1 = f(t, x) in the form `rk4` takes it."""
+        return f(_float(t), X[0])
+
+    def rk4(self, f, t, X, h, k1=None):
+        return rk4_step(f, _float(t), X[0], _float(h), k1)[None]
 
     def call(self, fn, t, X, what):
         return np.asarray(fn(_float(t), X[0]), dtype=float)[None]
@@ -171,8 +193,12 @@ class _Stack:
             "over a leading row axis")
     error = _NotBroadcast
 
-    def rk4(self, f, t, X, h):
-        return rk4_step(f, t, X, h)
+    def first_stage(self, f, t, X):
+        """k1 = f(t, X) in the form `rk4` takes it."""
+        return f(t, X)
+
+    def rk4(self, f, t, X, h, k1=None):
+        return rk4_step(f, t, X, h, k1)
 
     def call(self, fn, t, X, what):
         """fn(t, X) on the whole stack; any exception becomes _NotBroadcast."""
@@ -223,12 +249,25 @@ _ONE_ROW = _OneRow()
 _STACK = _Stack()
 
 
-def _stack_or_each_row(run: Callable, n: int) -> list:
-    """[run(rows, s)] on the whole stack (s = slice(None)), or one call per
-    row (s = slice(i, i + 1)) when a callable does not broadcast: the one
-    place that chooses between the two."""
+# the states of one block of rows, in bytes; the module docstring says why this size
+_BLOCK_BYTES = 128 * 1024
+
+
+def _block_rows(width: int) -> int:
+    """Rows of `width` floats in one block: the largest power of two whose
+    block fits in _BLOCK_BYTES, and at least 1."""
+    return 1 << max(0, (_BLOCK_BYTES // (8 * width)).bit_length() - 1)
+
+
+def _stack_or_each_row(run: Callable, n: int, width: int) -> list:
+    """[run(rows, s)] on the stack of n rows of `width` floats, one call per
+    block of consecutive rows (s = slice(a, b)), or one call per row
+    (s = slice(i, i + 1)) when a callable does not broadcast on any block:
+    the one place that chooses between the two. An error other than
+    _NotBroadcast leaves from the earliest block that raises it."""
+    block = _block_rows(width)
     try:
-        return [run(_STACK, slice(None))]
+        return [run(_STACK, slice(a, a + block)) for a in range(0, max(n, 1), block)]
     except _NotBroadcast:
         return [run(_ONE_ROW, slice(i, i + 1)) for i in range(n)]
 
@@ -419,7 +458,8 @@ def _locate(rows, f, guard: GuardSpec, sign: np.ndarray, t_a: np.ndarray, x_a: n
     scan found them (evaluated here if not given): a guard whose last bits
     depend on the batch could flip the sign of a value near zero if it were
     evaluated again on the crossing rows alone. The state at a midpoint is
-    one RK4 step from the left end (t_a, x_a); each row stops once its own
+    one RK4 step from the left end (t_a, x_a), all of whose steps share
+    their first stage f(t_a, x_a), computed once; each row stops once its own
     bracket is at most tol_t wide and keeps the end nearer the surface.
     Returns (t_event, x_minus, guard_residual, transversality) per row;
     raises EventLocalizationError, NonFiniteState, DegenerateGuard or
@@ -438,12 +478,13 @@ def _locate(rows, f, guard: GuardSpec, sign: np.ndarray, t_a: np.ndarray, x_a: n
         )
 
     moved_lo = moved_hi = np.zeros(t_a.shape, dtype=bool)
+    k1 = rows.first_stage(f, t_a, x_a)  # every midpoint's RK4 step starts with it
     for _ in range(200):
         active = t_hi - t_lo > opts.tol_t
         if not active.any():
             break
         t_mid = 0.5 * (t_lo + t_hi)
-        x_mid = rows.rk4(f, t_a, x_a, t_mid - t_a)
+        x_mid = rows.rk4(f, t_a, x_a, t_mid - t_a, k1)
         if not np.isfinite(x_mid).all():
             r = _first(~np.isfinite(x_mid).all(axis=1))
             raise NonFiniteState(f"non-finite state during localization at t={t_mid[r]}")
@@ -460,7 +501,7 @@ def _locate(rows, f, guard: GuardSpec, sign: np.ndarray, t_a: np.ndarray, x_a: n
     x_e = np.where(pick_hi[:, None], x_b, x_a)
     moved = np.where(pick_hi, moved_hi, moved_lo)
     if moved.any():
-        x_e = np.where(moved[:, None], rows.rk4(f, t_a, x_a, t_e - t_a), x_e)
+        x_e = np.where(moved[:, None], rows.rk4(f, t_a, x_a, t_e - t_a, k1), x_e)
     residual = np.abs(np.where(pick_hi, g_hi, g_lo))
     bad = residual > opts.tol_g
     if bad.any():

@@ -1,6 +1,8 @@
 """Numeric oracles: finite-difference saltation, Monte Carlo covariance,
 brute-force rollout costs, and the comparison helpers."""
 
+import importlib
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -11,7 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 import saltlib as sl
 import saltlib.propagation
-from saltlib.simulate import _STACK, _rollout, _substeps
+from saltlib.cli import _FAILURE_CODES
+from saltlib.oracles import _blocked_pairwise_sum, _pairwise_sum
+from saltlib.simulate import _STACK, _block_rows, _rollout, _stack_or_each_row, _substeps
+
+# the engine module (the package's `simulate` name is the function)
+engine = importlib.import_module("saltlib.simulate")
 
 
 def _nonlinear_two_mode():
@@ -482,6 +489,152 @@ def test_monte_carlo_zero_spread_gives_exactly_zero_covariance():
     sigma = sl.monte_carlo_covariance(sys_, 0, np.array([0.0, 0.1]), np.zeros((2, 2)),
                                       (0.0, 0.2), n_samples=16, seed=0, options=opts)
     assert np.all(sigma == 0.0)
+
+
+def _blocks_of(monkeypatch, rows, width):
+    """Make the engine's row blocks `rows` rows of `width` floats long."""
+    monkeypatch.setattr(engine, "_BLOCK_BYTES", 8 * rows * width)
+    assert _block_rows(width) == rows
+
+
+def _rollouts(sys_, X0, t_max, opts=sl.SimOptions()):
+    """The batched callers' rollout of X0's rows: blocks, or one row at a time."""
+    runs = _stack_or_each_row(lambda rows, s: _rollout(rows, sys_, 0, 0.0, X0[s], t_max, opts),
+                              *X0.shape)
+    return len(runs), np.concatenate([x for x, _ in runs]), np.concatenate([c for _, c in runs])
+
+
+def _mc_case(case):
+    if case == "slide":
+        return sl.ball_drop(sl.BallDropParams(theta=0.3))[1], np.array([0.0, 0.6, 0.0, 0.0]), 0.5
+    return sl.bouncing_ball(e=0.5), np.array([1.0, 0.0]), 1.0
+
+
+@pytest.mark.parametrize("case", ["slide", "bounce"])
+def test_row_blocks_give_the_one_block_result_bit_for_bit(case, monkeypatch):
+    sys_, mean0, t_max = _mc_case(case)
+    n = mean0.size
+    block = 64
+    n_rows = 2 * block + 37
+    rng = np.random.default_rng(21)
+    X0 = mean0 + 0.1 * rng.standard_normal((n_rows, n))
+    sigma0 = 1e-6 * np.eye(n)
+    n_runs, X_one, codes_one = _rollouts(sys_, X0, t_max)
+    mc_one = sl.monte_carlo_covariance(sys_, 0, mean0, sigma0, (0.0, t_max), n_samples=n_rows)
+    assert n_runs == 1
+    _blocks_of(monkeypatch, block, n)
+    n_runs, X_blocks, codes_blocks = _rollouts(sys_, X0, t_max)
+    mc_blocks = sl.monte_carlo_covariance(sys_, 0, mean0, sigma0, (0.0, t_max), n_samples=n_rows)
+    assert n_runs == 3
+    if case == "bounce":
+        assert len(set(codes_one.tolist())) > 1
+    else:
+        assert codes_one.all()
+    # affine_field's x @ A.T rounds within its batch, but no row moved here
+    assert codes_blocks.tolist() == codes_one.tolist()
+    assert X_blocks.tobytes() == X_one.tobytes()
+    assert mc_blocks.tobytes() == mc_one.tobytes()
+
+
+def test_a_field_that_fails_on_a_later_block_sends_every_row_one_at_a_time(monkeypatch):
+    # the field refuses stacks that hold a row with q1 < -1: only the second
+    # block's rows, moved along the incline (the guard is s q1 + c q2)
+    _, sys_ = sl.ball_drop(sl.BallDropParams(theta=0.3))
+    one_rows = []
+
+    def refuse_far_rows(spec):
+        def f(t, x, _f=spec.f):
+            if np.ndim(x) == 2 and (x[:, 0] < -1.0).any():
+                raise ValueError("this field takes no far rows on a stack")
+            if np.ndim(x) == 1:
+                one_rows.append(float(x[0]))
+            return _f(t, x)
+        return replace(spec, f=f)
+
+    picky = replace(sys_, modes=tuple(refuse_far_rows(spec) for spec in sys_.modes))
+    block = 16
+    _blocks_of(monkeypatch, block, 4)
+    rng = np.random.default_rng(4)
+    X0 = np.column_stack([rng.uniform(-0.2, 0.2, 40), rng.uniform(0.4, 0.8, 40),
+                          rng.uniform(-0.3, 0.3, 40), rng.uniform(-0.3, 0.3, 40)])
+    X0[block:2 * block, :2] += [-5.0, 5.0 * np.tan(0.3)]
+    n_runs, X_f, codes = _rollouts(picky, X0, 0.6)
+    assert n_runs == 40
+    assert set(X0[:block, 0].tolist()) <= set(one_rows)
+    for x0, x_f, code in zip(X0, X_f, codes):
+        traj = sl.simulate(sys_, 0, x0, (0.0, 0.6))
+        assert x_f.tobytes() == traj.x_end.tobytes()
+        assert code == 1 and traj.event_sequence == (0,)
+
+
+def _graze_or_tie_system():
+    # p' = v, q' = w; transition 0 fires at p = 0, transition 1 at q = 0
+    def f(t, x):
+        out = np.zeros_like(x)
+        out[..., 0] = x[..., 2]
+        out[..., 1] = x[..., 3]
+        return out
+
+    rest = sl.VectorFieldSpec(dim=4, f=lambda t, x: np.zeros_like(x))
+    return sl.HybridSystem(
+        modes=(sl.VectorFieldSpec(dim=4, f=f), rest, rest),
+        transitions=(
+            sl.TransitionSpec(0, 1, sl.linear_guard(np.array([1.0, 0.0, 0.0, 0.0])),
+                              sl.identity_reset(4)),
+            sl.TransitionSpec(0, 2, sl.linear_guard(np.array([0.0, 1.0, 0.0, 0.0])),
+                              sl.identity_reset(4)),
+        ))
+
+
+def test_a_batch_raises_the_first_error_of_its_earliest_failing_block(monkeypatch):
+    # grazing rows cross p = 0 at t = 5 ms with slope -1e-9 (TangentialEvent);
+    # tying rows cross p = 0 and q = 0 1e-13 s apart at t = 0.25 (AmbiguousEvent)
+    sys_ = _graze_or_tie_system()
+    graze = np.tile([5e-12, 1.0, -1e-9, 0.0], (8, 1))
+    tie = np.tile([0.2505, 0.2505 + 1e-13, -1.0, -1.0], (8, 1))
+    with pytest.raises(sl.TangentialEvent):
+        sl.simulate(sys_, 0, graze[0], (0.0, 1.0))
+    with pytest.raises(sl.AmbiguousEvent):
+        sl.simulate(sys_, 0, tie[0], (0.0, 1.0))
+    for first, second, raised, exit_code in ((tie, graze, sl.AmbiguousEvent, 3),
+                                             (graze, tie, sl.TangentialEvent, 4)):
+        X0 = np.concatenate([first, second])
+        # in one block, the grazing rows fail first, as they localize first
+        monkeypatch.undo()
+        with pytest.raises(sl.TangentialEvent):
+            _rollouts(sys_, X0, 1.0)
+        _blocks_of(monkeypatch, 8, 4)
+        with pytest.raises(raised) as info:
+            _rollouts(sys_, X0, 1.0)
+        assert next(code for cls, code in _FAILURE_CODES if isinstance(info.value, cls)) == exit_code
+
+
+_BLOCK = 8
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_rows=st.sampled_from([1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_blocked_pairwise_sum_is_the_pairwise_sum_bit_for_bit(n_rows, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n_rows, 3, 3)) * 10.0 ** rng.uniform(-8, 8, (n_rows, 1, 1))
+    got = _blocked_pairwise_sum(lambda s: a[s], n_rows, _BLOCK)
+    assert got.tobytes() == _pairwise_sum(a).tobytes()
+
+
+def test_monte_carlo_working_set_is_bounded():
+    # a warm 20 000-sample call: a batch-sized (N, n, n) product or whole-batch
+    # RK4 stacks would lift the traced peak to about 12 MB
+    _, sys_ = sl.ball_drop(sl.BallDropParams(theta=0.3))
+    args = (sys_, 0, np.array([0.0, 0.6, 0.0, 0.0]), 1e-6 * np.eye(4))
+    sl.monte_carlo_covariance(*args, (0.0, 0.02), n_samples=20_000, seed=0)
+    tracemalloc.start()
+    try:
+        sl.monte_carlo_covariance(*args, (0.0, 0.5), n_samples=20_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def _damped_reference():

@@ -13,7 +13,7 @@ from saltlib.errors import (
     TangentialEvent,
     ZenoSuspected,
 )
-from saltlib.simulate import _STACK, _locate, _rollout, _segment
+from saltlib.simulate import _ONE_ROW, _STACK, _OneRow, _Stack, _locate, _rollout, _segment
 
 G = 9.81
 
@@ -349,6 +349,67 @@ def test_bisection_settles_on_the_states_the_where_loop_carries(case):
                                 *g_ab, opts.tol_t)
     assert t_e.tobytes() == t_w.tobytes()
     assert x_e.tobytes() == x_w.tobytes()
+
+
+def _counting_rows(rows, fresh_k1):
+    """`rows` that counts its guard evaluations (one per bisection iteration
+    when the bracket's guard values are given) and, with fresh_k1, takes no
+    first stage from its caller, so every RK4 step calls the field four times."""
+    class Counting(type(rows)):
+        n_guards = 0
+
+        def guards(self, guards, t, X):
+            self.n_guards += 1
+            return super().guards(guards, t, X)
+
+        if fresh_k1:
+            def first_stage(self, f, t, X):
+                return None
+
+    return Counting()
+
+
+@pytest.mark.parametrize("case", ["slide", "stick", "bounce", "field switch"])
+def test_bisection_computes_its_first_rk4_stage_once(case, monkeypatch):
+    sys_, X0, t_max = _bisection_cases()[case]
+    opts = sl.SimOptions()
+    _, br = _segment(_STACK, sys_, 0, 0.0, X0, t_max, opts.step)
+    guard = sys_.transitions[0].guard
+    for one in (_STACK, _ONE_ROW):
+        pick = slice(None) if one is _STACK else slice(0, 1)
+        args = (guard, br.sign[pick, 0], br.t_lo[pick], br.x_lo[pick], br.t_hi[pick],
+                br.x_hi[pick], opts, (br.g_lo[pick, 0], br.g_hi[pick, 0]))
+        out, per_iteration = [], []
+        for fresh_k1 in (False, True):
+            calls = []
+
+            def f(t, x):
+                calls.append(t)
+                return sys_.modes[0].f(t, x)
+
+            rows = _counting_rows(one, fresh_k1)
+            got = _locate(rows, f, *args)
+            # one RK4 step per iteration, one more for an end that moved
+            # (the event time is then a midpoint), one field call in the
+            # slope, and without fresh_k1 the shared first stage
+            moved = int(((got[0] != args[2]) & (got[0] != args[4])).any())
+            in_loop = len(calls) - 1 - (3 + fresh_k1) * moved - (not fresh_k1)
+            per_iteration.append(in_loop / rows.n_guards)
+            out.append(got)
+        assert per_iteration == [3.0, 4.0]
+        for new, old in zip(*out):
+            assert new.tobytes() == old.tobytes()
+
+    # whole runs: the same event times and pre-event states, bit for bit
+    runs = []
+    for fresh_k1 in (False, True):
+        if fresh_k1:
+            monkeypatch.setattr(_OneRow, "first_stage", lambda self, f, t, X: None)
+            monkeypatch.setattr(_Stack, "first_stage", lambda self, f, t, X: None)
+        runs.append([[(ev.t_event, ev.x_minus.tobytes()) for ev in
+                      sl.simulate(sys_, 0, x0, (0.0, t_max), opts).events] for x0 in X0[:8]])
+    assert runs[0] == runs[1]
+    assert any(runs[0])
 
 
 def test_bracket_ends_are_the_scans_guard_values():
