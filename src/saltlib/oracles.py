@@ -80,9 +80,9 @@ def numeric_saltation(
     by the smooth variational flow of the landing mode.
 
     The unperturbed run and the 2n perturbed runs are one batch of rows:
-    one back-flow, one rollout that ends each row at its first event, and
-    one forward flow to t_f. Fields, guards and resets that do not
-    broadcast over a leading row axis are run one row at a time instead.
+    one back-flow, one rollout whose event hook ends each row at its first
+    event, and one forward flow to t_f. Fields, guards and resets that do
+    not broadcast over a leading row axis are run one row at a time instead.
 
     Raises EventOrderChanged when any perturbed run triggers a different
     first transition than the unperturbed one.
@@ -106,15 +106,17 @@ def numeric_saltation(
         # a post-event flow that re-grazes a guard (e.g. a fully plastic
         # impact landing exactly on the surface) cannot disturb it
         X_start = _flow_rows(rows, field_i.f, t_minus, X[s], t_start, opts.step)
-        groups = []
-        _rollout(rows, sys, mode0, t_start, X_start, t_stop, opts, first=groups)
         events = [None] * X_start.shape[0]
-        for r, idx, t_e, x_minus in groups:
+
+        def first(ids, idx, t_e, x_minus, x_plus, residual, transversality):
             # each row's own reset call, as a lone simulation makes it
             reset = sys.transitions[idx].reset
-            for k, i in enumerate(r):
+            for k, i in enumerate(ids):
                 t = float(t_e[k])
                 events[i] = (idx, t, reset.apply(t, x_minus[k]))
+            return True
+
+        _rollout(rows, sys, mode0, t_start, X_start, t_stop, opts, event=first)
         return events
 
     events = [ev for part in _stack_or_each_row(first_events, *X.shape) for ev in part]

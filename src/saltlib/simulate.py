@@ -8,7 +8,10 @@ float time while the rows share one, else an (N,) array. The batched callers
 (`oracles.monte_carlo_covariance`, `oracles.numeric_saltation` and
 propagation's linearization) go through `_stack_or_each_row`, the one place
 that chooses: the stack, or one row at a time where a callable does not
-broadcast over a leading row axis.
+broadcast over a leading row axis. The engine builds no trajectory: a caller
+observes a rollout through two optional hooks, one on each grid sample and
+one on each located event, which may end its rows there (`_rollout`).
+`_Recorder` records one row for `simulate` and `integrate_segment`.
 
 The stack runs in consecutive blocks of rows, each block to its end before
 the next starts. A block holds at most `_BLOCK_BYTES` (128 KiB) of states,
@@ -45,7 +48,8 @@ Every row follows the same rules:
 - Bisection. A crossing is refined inside the step that detected it, from
   the guard values the scan found at the step's ends; the state at a
   midpoint is one RK4 step from the step's left end. Each row stops once its
-  bracket is at most tol_t wide and then needs |g| <= tol_g.
+  bracket is at most tol_t wide, or its midpoint rounds to an end (where
+  ulp(t) > tol_t), and then needs |g| <= tol_g.
 - Errors. A row raises EventLocalizationError, DegenerateGuard,
   TangentialEvent, AmbiguousEvent (two crossings within tol_t) and
   ZenoSuspected (more than max_events) under the same conditions whether it
@@ -322,13 +326,13 @@ def _arm(vals: np.ndarray, two_sided: np.ndarray) -> np.ndarray:
 class _Brackets(NamedTuple):
     """Rows whose armed guards crossed in their last step.
 
-    pos indexes the rows of the segment's group; g_lo and g_hi hold, per
-    outgoing transition, the guard values the scan found at the bracket's
-    ends; sign holds the crossing sign (+1 or -1) or 0 where that guard did
-    not cross.
+    ids are the rows' ids as the segment's caller gave them; g_lo and g_hi
+    hold, per outgoing transition, the guard values the scan found at the
+    bracket's ends; sign holds the crossing sign (+1 or -1) or 0 where that
+    guard did not cross.
     """
 
-    pos: np.ndarray
+    ids: np.ndarray
     t_lo: np.ndarray
     x_lo: np.ndarray
     g_lo: np.ndarray
@@ -368,16 +372,17 @@ def _check_jacobian(rows, jac, t, X: np.ndarray, what: str, out: np.ndarray) -> 
     rows.agree(jac, t, X, out, what)
 
 
-def _segment(rows, sys: HybridSystem, mode: ModeId, t, X: np.ndarray, t_max: float,
-             step: float, samples: Optional[tuple[list, list]] = None):
+def _segment(rows, sys: HybridSystem, mode: ModeId, ids: np.ndarray, t, X: np.ndarray,
+             t_max: float, step: float, sample: Optional[Callable] = None):
     """Integrate rows in one mode until each reaches t_max or an armed guard crosses.
 
-    t is the rows' shared float time or an array of their own times. The
-    stack starts column-major; the field's results set its layout from the
-    first RK4 stage on.
-    Returns (positions, states) of the rows that reached t_max and the
-    _Brackets of the rows that crossed, or None. `samples` = (times, states)
-    collects the grid of a one-row segment, up to its bracket's left end.
+    ids are the rows' ids, by which the results and `sample` name them; t is
+    the rows' shared float time or an array of their own times. The stack
+    starts column-major; the field's results set its layout from the first
+    RK4 stage on. `sample(ids, t, X)` sees every grid sample of the rows
+    still running, up to their brackets' left ends.
+    Returns a list of (ids, states) of the rows that reached t_max and the
+    _Brackets of the rows that crossed, or None.
     """
     field = sys.modes[mode]
     if X.shape[1:] != (field.dim,):
@@ -395,19 +400,18 @@ def _segment(rows, sys: HybridSystem, mode: ModeId, t, X: np.ndarray, t_max: flo
     vals = rows.guards(guards, t, X)
     armed = _arm(vals, two_sided)
     all_armed = armed.all()
-    pos = np.arange(X.shape[0])
     ended, crossed = [], []
-    if samples is not None:
-        samples[0].append(t)
-        samples[1].append(X[0])
-    while pos.size:
+    while ids.size:
+        if sample is not None:
+            sample(ids, t, X)
         done = t >= t_max
         if _any(done):
-            done = _per_row(done, pos.size)
-            ended.append((pos[done], _rows(X, done)))
+            done = _per_row(done, ids.size)
+            ended.append((ids[done], _rows(X, done)))
             keep = ~done
-            pos, X, vals, armed, t = pos[keep], _rows(X, keep), vals[keep], armed[keep], _take(t, keep)
-            continue
+            ids, X, vals, armed, t = ids[keep], _rows(X, keep), vals[keep], armed[keep], _take(t, keep)
+            if not ids.size:
+                break
 
         t_next = t + step
         last = t_next >= t_max
@@ -429,25 +433,17 @@ def _segment(rows, sys: HybridSystem, mode: ModeId, t, X: np.ndarray, t_max: flo
             all_armed = armed.all()
         if fired.any():
             hit = fired.any(axis=1)
-            crossed.append((pos[hit], _per_row(t, hit.size)[hit], _rows(X, hit), vals[hit],
+            crossed.append((ids[hit], _per_row(t, hit.size)[hit], _rows(X, hit), vals[hit],
                             _per_row(t_next, hit.size)[hit], _rows(X_next, hit), vals_next[hit],
                             armed[hit] * fired[hit]))
             keep = ~hit
-            pos, armed, t_next = pos[keep], armed[keep], _take(t_next, keep)
+            ids, armed, t_next = ids[keep], armed[keep], _take(t_next, keep)
             X_next, vals_next = _rows(X_next, keep), vals_next[keep]
-            if not pos.size:
-                break
         t, X, vals = t_next, X_next, vals_next
-        if samples is not None:
-            samples[0].append(t)
-            samples[1].append(X[0])
 
-    end = None
-    if ended:
-        end = (np.concatenate([p for p, _ in ended]), np.concatenate([x for _, x in ended]))
     if not crossed:
-        return end, None
-    return end, _Brackets(*(_join(parts) for parts in zip(*crossed)))
+        return ended, None
+    return ended, _Brackets(*(_join(parts) for parts in zip(*crossed)))
 
 
 def _locate(rows, f, guard: GuardSpec, sign: np.ndarray, t_a: np.ndarray, x_a: np.ndarray,
@@ -460,7 +456,8 @@ def _locate(rows, f, guard: GuardSpec, sign: np.ndarray, t_a: np.ndarray, x_a: n
     evaluated again on the crossing rows alone. The state at a midpoint is
     one RK4 step from the left end (t_a, x_a), all of whose steps share
     their first stage f(t_a, x_a), computed once; each row stops once its own
-    bracket is at most tol_t wide and keeps the end nearer the surface.
+    bracket is at most tol_t wide or its midpoint rounds to one of its ends,
+    and keeps the end nearer the surface.
     Returns (t_event, x_minus, guard_residual, transversality) per row;
     raises EventLocalizationError, NonFiniteState, DegenerateGuard or
     TangentialEvent per the located-event checks.
@@ -480,10 +477,10 @@ def _locate(rows, f, guard: GuardSpec, sign: np.ndarray, t_a: np.ndarray, x_a: n
     moved_lo = moved_hi = np.zeros(t_a.shape, dtype=bool)
     k1 = rows.first_stage(f, t_a, x_a)  # every midpoint's RK4 step starts with it
     for _ in range(200):
-        active = t_hi - t_lo > opts.tol_t
+        t_mid = 0.5 * (t_lo + t_hi)
+        active = (t_hi - t_lo > opts.tol_t) & (t_lo < t_mid) & (t_mid < t_hi)
         if not active.any():
             break
-        t_mid = 0.5 * (t_lo + t_hi)
         x_mid = rows.rk4(f, t_a, x_a, t_mid - t_a, k1)
         if not np.isfinite(x_mid).all():
             r = _first(~np.isfinite(x_mid).all(axis=1))
@@ -535,11 +532,11 @@ def _resolve(rows, sys: HybridSystem, mode: ModeId, br: _Brackets, opts: SimOpti
     outs = sys.outgoing(mode)
     f = sys.modes[mode].f
     t_all = np.full(br.sign.shape, np.inf)
-    j_e = np.zeros(br.pos.size, dtype=np.int64)
-    t_e = np.full(br.pos.size, np.inf)
+    j_e = np.zeros(br.ids.size, dtype=np.int64)
+    t_e = np.full(br.ids.size, np.inf)
     x_e = np.empty_like(br.x_lo)
-    res = np.empty(br.pos.size)
-    deriv = np.empty(br.pos.size)
+    res = np.empty(br.ids.size)
+    deriv = np.empty(br.ids.size)
     for j, (_, tr) in enumerate(outs):
         sub = np.flatnonzero(br.sign[:, j])
         if not sub.size:
@@ -570,31 +567,19 @@ def _resolve(rows, sys: HybridSystem, mode: ModeId, br: _Brackets, opts: SimOpti
     return j_e, t_e, x_e, res, deriv
 
 
-def _recorded_segment(mode: ModeId, times: list, states: list, t_e=None, x_e=None) -> Segment:
-    """Segment of a one-row grid, ended at its event (t_e, x_minus) if one fired."""
-    if t_e is not None:
-        if t_e > times[-1]:
-            times.append(t_e)
-            states.append(x_e)
-        else:
-            # event localized onto the last sample; replace to keep strict ordering
-            times[-1], states[-1] = t_e, x_e
-    return Segment(mode=mode, times=np.asarray(times, dtype=float), states=np.stack(states, axis=0))
-
-
 def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, t_max: float,
-             opts: SimOptions, record: Optional[tuple[list, list]] = None,
-             first: Optional[list] = None):
+             opts: SimOptions, sample: Optional[Callable] = None, event: Optional[Callable] = None):
     """Roll every row of X0 from mode0 at t0 to t_max.
 
     The rows that enter a mode together are integrated, localized and reset
     together, one transition at a time. Returns the final states and, per
-    row, its event sequence coded in base len(transitions) + 1. A one-row
-    rollout given `record` = (segments, events) also records its trajectory.
-    Given a list `first`, each row ends at its first event instead, before
-    the reset: every group of rows that fired one transition appends (row
-    indices, transition index, t_event, x_minus) to it, and those rows'
-    final states and codes are left unset.
+    row, its event sequence coded in base len(transitions) + 1. A row's id is
+    its index in X0. Two optional hooks observe the run: `sample` sees the
+    grid samples of each segment as `_segment` gives them, and
+    `event(ids, transition index, t_event, x_minus, x_plus, guard_residual,
+    transversality)` each group of rows that fired one transition, after its
+    reset. A true result from `event` ends those rows there: their final
+    states are left unset and their codes do not count that event.
     """
     diags = validate_system(sys)
     if diags:
@@ -618,26 +603,16 @@ def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, 
             t = np.concatenate([_per_row(p[1], p[0].size) for p in parts])
         if isinstance(t, np.ndarray) and t.size and (t == t[0]).all():
             t = float(t[0])
-        samples = None if record is None else ([], [])
-        end, br = _segment(rows, sys, mode, t, X, t_max, opts.step, samples)
-        if end is not None:
-            finals.append((ids[end[0]], end[1]))
-            if record is not None:
-                record[0].append(_recorded_segment(mode, *samples))
+        ended, br = _segment(rows, sys, mode, ids, t, X, t_max, opts.step, sample)
+        finals += ended
         if br is None:
             continue
 
-        hit = ids[br.pos]
-        if (n_events[hit] >= opts.max_events).any():
+        if (n_events[br.ids] >= opts.max_events).any():
             # checked before localization: runaway detection must not depend
             # on the next event (possibly degenerate) localizing cleanly
-            partial = None
-            if record is not None:
-                partial = HybridTrajectory(segments=(*record[0], _recorded_segment(mode, *samples)),
-                                           events=tuple(record[1]))
             raise ZenoSuspected(
-                f"event count exceeded max_events={opts.max_events} near t={br.t_lo.min()}",
-                trajectory=partial,
+                f"event count exceeded max_events={opts.max_events} near t={br.t_lo.min()}"
             )
         j_e, t_e, x_minus, res, deriv = _resolve(rows, sys, mode, br, opts)
 
@@ -645,39 +620,20 @@ def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, 
             sub = np.flatnonzero(j_e == j)
             if not sub.size:
                 continue
-            x_sub = _rows(x_minus, sub)
-            if first is not None:
-                first.append((hit[sub], idx, t_e[sub], x_sub))
-                continue
+            t_sub, x_sub = t_e[sub], _rows(x_minus, sub)
             what = f"reset of transition {idx}"
-            x_plus = rows.call(tr.reset.r, t_e[sub], x_sub, what)
-            _check_field(rows, tr.reset.r, t_e[sub], x_sub, what, x_plus, sys.dim(tr.to_mode))
+            x_plus = rows.call(tr.reset.r, t_sub, x_sub, what)
+            _check_field(rows, tr.reset.r, t_sub, x_sub, what, x_plus, sys.dim(tr.to_mode))
             if not np.isfinite(x_plus).all():
                 r = _first(~np.isfinite(x_plus).all(axis=1))
-                raise NonFiniteState(f"non-finite reset state at t={t_e[sub][r]}")
-            r = hit[sub]
+                raise NonFiniteState(f"non-finite reset state at t={t_sub[r]}")
+            r = br.ids[sub]
+            if event is not None and event(r, idx, t_sub, x_sub, x_plus, res[sub], deriv[sub]):
+                continue
             code[r] = code[r] * base + (idx + 1)
             n_events[r] += 1
-            at_end = t_e[sub] >= t_max
-            if record is not None:
-                t_ev = float(t_e[0])
-                record[0].append(_recorded_segment(mode, *samples, t_ev, x_minus[0]))
-                record[1].append(EventRecord(
-                    t_event=t_ev,
-                    transition_index=idx,
-                    x_minus=np.array(x_minus[0], copy=True),
-                    x_plus=np.array(x_plus[0], copy=True),
-                    guard_residual=float(res[0]),
-                    transversality=float(deriv[0]),
-                ))
-                if at_end[0]:
-                    record[0].append(Segment(mode=tr.to_mode, times=np.array([t_ev]),
-                                             states=x_plus.copy()))
-            if at_end.any():
-                finals.append((r[at_end], x_plus[at_end]))
-            go_on = ~at_end
-            if go_on.any():
-                pending.setdefault(tr.to_mode, []).append((r[go_on], t_e[sub][go_on], _rows(x_plus, go_on)))
+            # a row whose event is at t_max enters the new mode for one sample
+            pending.setdefault(tr.to_mode, []).append((r, t_sub, x_plus))
 
     X_f = np.empty((n_rows, finals[-1][1].shape[1] if finals else X0.shape[1]))
     for r, x in finals:
@@ -727,6 +683,43 @@ def _flow_rows(rows, f, t0, X: np.ndarray, t1: float, step: float) -> np.ndarray
 # the one-row case
 
 
+class _Recorder:
+    """The sample and event hooks that record a one-row rollout as a
+    HybridTrajectory: each segment's mode and grid, and each event."""
+
+    def __init__(self, sys: HybridSystem, mode: ModeId):
+        self.sys = sys
+        self.grids, self.events = [(mode, [], [])], []
+
+    def sample(self, ids, t, X):
+        self.grids[-1][1].append(t)
+        self.grids[-1][2].append(X[0])
+
+    def event(self, ids, idx, t_e, x_minus, x_plus, residual, transversality):
+        t, (_, times, states) = float(t_e[0]), self.grids[-1]
+        if t > times[-1]:
+            self.sample(ids, t, x_minus)
+        else:
+            # event localized onto the last sample; replace to keep strict ordering
+            times[-1], states[-1] = t, x_minus[0]
+        self.events.append(EventRecord(
+            t_event=t,
+            transition_index=idx,
+            x_minus=np.array(x_minus[0], copy=True),
+            x_plus=np.array(x_plus[0], copy=True),
+            guard_residual=float(residual[0]),
+            transversality=float(transversality[0]),
+        ))
+        self.grids.append((self.sys.transitions[idx].to_mode, [], []))
+
+    def trajectory(self) -> HybridTrajectory:
+        return HybridTrajectory(
+            segments=tuple(Segment(mode=mode, times=np.asarray(times, dtype=float),
+                                   states=np.stack(states, axis=0)) for mode, times, states in self.grids),
+            events=tuple(self.events),
+        )
+
+
 def integrate_segment(
     sys: HybridSystem,
     mode: ModeId,
@@ -742,9 +735,9 @@ def integrate_segment(
     every transition whose guard crossed in the offending step; the caller
     resolves which fires (or raises AmbiguousEvent on ties).
     """
-    times, states = [], []
-    _, br = _segment(_ONE_ROW, sys, mode, float(t0), np.asarray(x0, dtype=float)[None], t_max,
-                     step, (times, states))
+    rec = _Recorder(sys, mode)
+    _, br = _segment(_ONE_ROW, sys, mode, np.arange(1), float(t0), np.asarray(x0, dtype=float)[None],
+                     t_max, step, rec.sample)
     bracket = None
     if br is not None:
         outs = sys.outgoing(mode)
@@ -752,7 +745,8 @@ def integrate_segment(
             float(br.t_lo[0]), br.x_lo[0].copy(), float(br.t_hi[0]), br.x_hi[0].copy(),
             tuple((outs[j][0], int(s)) for j, s in enumerate(br.sign[0]) if s),
         )
-    return np.asarray(times, dtype=float), np.stack(states, axis=0), bracket
+    (seg,) = rec.trajectory().segments
+    return seg.times, seg.states, bracket
 
 
 def locate_event(
@@ -786,8 +780,11 @@ def simulate(
     options: Optional[SimOptions] = None,
 ) -> HybridTrajectory:
     """Run a hybrid execution over t_span starting in mode0 at state x0."""
-    segments: list[Segment] = []
-    events: list[EventRecord] = []
-    _rollout(_ONE_ROW, sys, mode0, float(t_span[0]), np.asarray(x0, dtype=float)[None],
-             float(t_span[1]), options or SimOptions(), (segments, events))
-    return HybridTrajectory(segments=tuple(segments), events=tuple(events))
+    rec = _Recorder(sys, mode0)
+    try:
+        _rollout(_ONE_ROW, sys, mode0, float(t_span[0]), np.asarray(x0, dtype=float)[None],
+                 float(t_span[1]), options or SimOptions(), rec.sample, rec.event)
+    except ZenoSuspected as exc:
+        exc.trajectory = rec.trajectory()
+        raise
+    return rec.trajectory()

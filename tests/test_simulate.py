@@ -141,12 +141,60 @@ def test_ball_drop_single_slide_event_kills_normal_velocity():
 
 
 def test_zeno_cap_raises_with_partial_trajectory():
-    with pytest.raises(ZenoSuspected) as info:
-        sl.simulate(sl.bouncing_ball(e=0.9), 0, np.array([1.0, 0.0]), (0.0, 10.0),
-                    sl.SimOptions(max_events=50))
-    partial = info.value.trajectory
+    sys_ = sl.bouncing_ball(e=0.9)
+    partials = []
+    for cap in (50, 60):
+        with pytest.raises(ZenoSuspected) as info:
+            sl.simulate(sys_, 0, np.array([1.0, 0.0]), (0.0, 10.0), sl.SimOptions(max_events=cap))
+        partials.append(info.value.trajectory)
+    partial, longer = partials
     assert len(partial.events) == 50
     assert partial.t_end < 10.0
+    assert partial.validate(sys_) == []
+    # the partial is the longer run up to the 51st event: every event and
+    # finished segment equal, and the open segment a strict prefix of its own
+    assert len(partial.segments) == 51
+    for ev, ev_longer in zip(partial.events, longer.events):
+        assert ev.t_event == ev_longer.t_event and ev.transition_index == ev_longer.transition_index
+        assert ev.x_minus.tobytes() == ev_longer.x_minus.tobytes()
+        assert ev.x_plus.tobytes() == ev_longer.x_plus.tobytes()
+        assert (ev.guard_residual, ev.transversality) == (ev_longer.guard_residual, ev_longer.transversality)
+    for seg, seg_longer in zip(partial.segments[:50], longer.segments):
+        assert seg.mode == seg_longer.mode
+        assert seg.times.tobytes() == seg_longer.times.tobytes()
+        assert seg.states.tobytes() == seg_longer.states.tobytes()
+    last, full = partial.segments[50], longer.segments[50]
+    n = last.times.size
+    assert last.mode == full.mode and n < full.times.size
+    assert last.times.tobytes() == full.times[:n].tobytes()
+    assert last.states.tobytes() == full.states[:n].tobytes()
+
+
+def test_event_at_t_max_ends_with_a_one_sample_segment():
+    # x falls from 0.5 onto the guard x = 0 exactly at the last grid sample,
+    # t_max = 0.5: the event replaces that sample, and the reset state 2x + 1
+    # is the whole last segment
+    fall = sl.affine_field(np.zeros((1, 1)), np.array([-1.0]))
+    sys_ = sl.HybridSystem(
+        modes=(fall, fall),
+        transitions=(sl.TransitionSpec(0, 1, sl.linear_guard(np.array([1.0])),
+                                       sl.affine_reset(np.array([[2.0]]), np.array([1.0]))),),
+    )
+    opts = sl.SimOptions(step=0.125)
+    traj = sl.simulate(sys_, 0, np.array([0.5]), (0.0, 0.5), opts)
+    assert [(seg.mode, seg.times.tolist(), seg.states.tolist()) for seg in traj.segments] == [
+        (0, [0.0, 0.125, 0.25, 0.375, 0.5], [[0.5], [0.375], [0.25], [0.125], [0.0]]),
+        (1, [0.5], [[1.0]]),
+    ]
+    (ev,) = traj.events
+    assert (ev.t_event, ev.x_minus.tolist(), ev.x_plus.tolist()) == (0.5, [0.0], [1.0])
+    assert traj.validate(sys_) == []
+    # in a batch, beside a row with no event and one with an earlier event
+    X0 = np.array([[0.5], [0.7], [0.3]])
+    X_f, codes = _rollout(_STACK, sys_, 0, 0.0, X0, 0.5, opts)
+    assert codes.tolist() == [1, 0, 1]
+    for x0, x_f in zip(X0, X_f):
+        assert x_f.tolist() == sl.simulate(sys_, 0, x0, (0.0, 0.5), opts).x_end.tolist()
 
 
 def test_tangential_graze_is_rejected():
@@ -230,11 +278,38 @@ def test_locate_event_matches_simulate_at_a_coarse_step():
     guard = sys_.transitions[0].guard
     for angle in np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False):
         x0 = np.array([np.cos(angle), np.sin(angle)])
-        ev = sl.simulate(sys_, 0, x0, (0.0, 2.0), opts).events[0]
-        _, _, bracket = sl.integrate_segment(sys_, 0, 0.0, x0, 2.0, step=opts.step)
+        traj = sl.simulate(sys_, 0, x0, (0.0, 2.0), opts)
+        ev, seg = traj.events[0], traj.segments[0]
+        times, states, bracket = sl.integrate_segment(sys_, 0, 0.0, x0, 2.0, step=opts.step)
+        # the samples are simulate's first segment without its event sample
+        assert times.tobytes() == seg.times[:-1].tobytes()
+        assert states.tobytes() == seg.states[:-1].tobytes()
         t_e, x_e = sl.locate_event(sys_, 0, bracket, guard)
         assert t_e == ev.t_event
         np.testing.assert_array_equal(x_e, ev.x_minus)
+
+
+@pytest.mark.parametrize("t0", [1e4, 1e6])
+def test_bisection_stops_at_adjacent_floats_at_large_times(t0):
+    # from t = 8192 on, ulp(t) > tol_t = 1e-12: bisection must stop once its
+    # midpoint rounds to an end rather than run to its iteration cap
+    sys_ = sl.bouncing_ball(e=0.5)
+    spec = sys_.modes[0]
+    calls = []
+
+    def f(t, x):
+        calls.append(t)
+        return spec.f(t, x)
+
+    counting = replace(sys_, modes=(sl.VectorFieldSpec(dim=spec.dim, f=f, jac_x=spec.jac_x),))
+    n_calls = []
+    for start in (0.0, t0):
+        calls.clear()
+        traj = sl.simulate(counting, 0, np.array([1.0, 0.0]), (start, start + 0.46))
+        assert len(traj.events) == 1
+        n_calls.append(len(calls))
+    # the same steps, and no more bisection iterations than at t = 0
+    assert n_calls[1] <= n_calls[0]
 
 
 def test_interpolate_and_segment_lookup():
@@ -285,7 +360,7 @@ def test_matrix_product_fields_turn_their_stacks_row_major():
     sys_ = sl.bouncing_ball(e=0.5)
     X0 = np.column_stack([np.linspace(0.5, 1.5, 16), np.zeros(16)])
     opts = sl.SimOptions()
-    _, br = _segment(_STACK, _recording(sys_, seen), 0, 0.0, X0, 0.6, opts.step)
+    _, br = _segment(_STACK, _recording(sys_, seen), 0, np.arange(16), 0.0, X0, 0.6, opts.step)
     # the segment's first field calls (its check and the first RK4 stage) see
     # the column-major stack it starts from; x @ A.T answers row-major, so
     # from the second RK4 stage on the field sees row-major stacks
@@ -293,7 +368,7 @@ def test_matrix_product_fields_turn_their_stacks_row_major():
     assert len({n for _, n, _, _ in seen}) > 2
     assert all(c_contig and not f_contig for _, _, f_contig, c_contig in seen[2:])
     # brackets are joined column-major whatever the field's layout
-    assert br.pos.size == 16
+    assert br.ids.size == 16
     assert br.x_lo.flags.f_contiguous and br.x_hi.flags.f_contiguous
     X_f, codes = _rollout(_STACK, sys_, 0, 0.0, X0, 0.6, opts)
     assert codes.tolist() == [1] * 16
@@ -339,8 +414,8 @@ def _bisection_cases():
 def test_bisection_settles_on_the_states_the_where_loop_carries(case):
     sys_, X0, t_max = _bisection_cases()[case]
     opts = sl.SimOptions()
-    _, br = _segment(_STACK, sys_, 0, 0.0, X0, t_max, opts.step)
-    assert br.pos.size > 20
+    _, br = _segment(_STACK, sys_, 0, np.arange(len(X0)), 0.0, X0, t_max, opts.step)
+    assert br.ids.size > 20
     f, guard = sys_.modes[0].f, sys_.transitions[0].guard
     sign = br.sign[:, 0]
     g_ab = br.g_lo[:, 0], br.g_hi[:, 0]
@@ -373,7 +448,7 @@ def _counting_rows(rows, fresh_k1):
 def test_bisection_computes_its_first_rk4_stage_once(case, monkeypatch):
     sys_, X0, t_max = _bisection_cases()[case]
     opts = sl.SimOptions()
-    _, br = _segment(_STACK, sys_, 0, 0.0, X0, t_max, opts.step)
+    _, br = _segment(_STACK, sys_, 0, np.arange(len(X0)), 0.0, X0, t_max, opts.step)
     guard = sys_.transitions[0].guard
     for one in (_STACK, _ONE_ROW):
         pick = slice(None) if one is _STACK else slice(0, 1)
@@ -429,7 +504,12 @@ def test_bracket_ends_are_the_scans_guard_values():
     X0 = np.array([[0.5], [2.0]])
     assert sl.flow_to(fall.f, 0.0, X0[0], 0.5, opts.step)[0] == 0.0
     first = []
-    _rollout(_STACK, sys_, 0, 0.0, X0, 1.0, opts, first=first)
+
+    def event(ids, idx, t_e, x_minus, x_plus, residual, transversality):
+        first.append((ids, idx, t_e, x_minus))
+        return True
+
+    _rollout(_STACK, sys_, 0, 0.0, X0, 1.0, opts, event=event)
     (rows, idx, t_e, x_minus), = first
     assert rows.tolist() == [0] and idx == 0
     assert t_e.tolist() == [0.5]
