@@ -19,14 +19,24 @@ rows x row width x 8 bytes, rounded down to a power of two rows: 4 096
 rows of 4 floats. Rows are independent, so a block does each row's
 arithmetic as the whole stack would (matrix-product callables aside, which
 round by batch; see the README). Blocks bound the working set, and the
-budget was chosen by minor page faults, not by cache size: every RK4 stage
-allocates and frees temporaries the size of its block, and large ones are
-most likely mapped afresh by malloc (glibc's mmap threshold starts at
-128 KiB) and faulted in again at every stage. A cold 100 000-row ball-drop
+budget was chosen by minor page faults, not by cache size: arrays the size
+of a block are most likely mapped afresh by malloc (glibc's mmap threshold
+starts at 128 KiB) and faulted in again. A cold 100 000-row ball-drop
 `monte_carlo_covariance` call took 2.08 million faults as one stack and
-about 5 000 in blocks; a warm 20 000-row call takes about 3 500 with
-128 KiB blocks and 164 000 with 256 KiB blocks (BENCH_row_blocks.json).
+about 5 000 in blocks, and a warm 20 000-row call 164 000 with 256 KiB
+blocks (BENCH_row_blocks.json).
 If any block fails with _NotBroadcast, every row runs one at a time.
+
+`rk4_step` runs a stack of at least `_RK4_BUFFER_BYTES` (16 KiB) of states
+in four buffers of its own, its three stage states and its weighted sum,
+in place of the plain expression's thirteen temporaries, with the same
+roundings (`_rk4_buffered`). Below that size the plain expression
+is faster, so a one-row state and small stacks such as `numeric_saltation`'s
+2n + 1 rows keep it. The buffers make a warm 20 000-row ball-drop call
+about 15% faster and cut its minor page faults from about 3 300 to about
+2 300 (BENCH_rk4_buffers.json), but the faults are not where the time
+goes: with glibc's trim and mmap thresholds raised, both forms take almost
+no faults per call and keep the same gap.
 
 Every segment (and every `_flow_rows` call) starts from a column-major
 stack, so each state coordinate is contiguous, and numpy carries the layout
@@ -101,15 +111,82 @@ def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float, x: np.ndarr
              k1: Optional[np.ndarray] = None) -> np.ndarray:
     """One classical Runge-Kutta step of size h; k1 is f(t, x) if already known.
 
-    For a stack of rows x (N, n), t and h may also be (N,) arrays.
+    For a stack of rows x (N, n), t and h may also be (N,) arrays. A float64
+    stack of at least _RK4_BUFFER_BYTES does the same arithmetic, bit for
+    bit, in four buffers (`_rk4_buffered`).
     """
     hx = h[:, None] if isinstance(h, np.ndarray) else h
     if k1 is None:
         k1 = f(t, x)
+    if (isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64
+            and x.nbytes >= _RK4_BUFFER_BYTES):
+        return _rk4_buffered(f, t, x, h, hx, k1)
     k2 = f(t + 0.5 * h, x + (0.5 * hx) * k1)
     k3 = f(t + 0.5 * h, x + (0.5 * hx) * k2)
     k4 = f(t + h, x + hx * k3)
     return x + (hx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _vote(a) -> str:
+    """The layout an (N, n) operand asks numpy to give an elementwise
+    result: 'F' if it steps fastest along its rows, 'C' along its columns,
+    '' (none) if it is broadcast along an axis or an axis has length 1."""
+    a = np.asarray(a)
+    if a.ndim != 2 or 1 in a.shape:
+        return ""
+    flags = a.flags
+    if flags.f_contiguous or flags.c_contiguous:  # most arrays: no strides to compare
+        return "F" if flags.f_contiguous else "C"
+    s0, s1 = a.strides
+    return "" if not (s0 and s1) else "F" if abs(s0) < abs(s1) else "C"
+
+
+def _empty(shape, column_major: bool) -> np.ndarray:
+    return np.empty(shape, order="F" if column_major else "C")
+
+
+def _stage(x: np.ndarray, c, k, column_major: bool) -> np.ndarray:
+    """The stage state x + c k in a buffer of its own, which the field
+    alone holds once the caller has passed it on."""
+    s = np.multiply(c, k, out=_empty(x.shape, column_major))
+    return np.add(x, s, out=s)
+
+
+def _rk4_buffered(f, t, x: np.ndarray, h, hx, k1) -> np.ndarray:
+    """rk4_step on a float64 stack, operation for operation, in four
+    buffers in place of the expression's thirteen temporaries: a stage state
+    is x + (c h) k, the sum ((k1 + 2 k2) + 2 k3) + k4, then x + (h/6) sum.
+
+    IEEE + and * are commutative and each buffer holds the value of the
+    subexpression it replaces, so the result is bit-identical. Each buffer
+    also takes that subexpression's layout: numpy makes an elementwise result
+    column-major only if some operand asks for it and none asks for row-major
+    (`_vote`), and a result asks for its own layout.
+
+    Each stage state is written in full before the field sees it and never
+    after, and the accumulator, which the step returns, is never passed to
+    the field: a field may return its input or a view of it.
+    """
+    x_ok = _vote(x) != "C"  # x does not ask for row-major: x + (c h) k is laid out as k asks
+    v1 = _vote(k1)
+    k2 = f(t + 0.5 * h, _stage(x, 0.5 * hx, k1, x_ok and v1 == "F"))
+    v2 = _vote(k2)
+    k3 = f(t + 0.5 * h, _stage(x, 0.5 * hx, k2, x_ok and v2 == "F"))
+    v3 = _vote(k3)
+    acc_f = v1 != "C" and v2 == "F"  # the layout of k1 + 2 k2
+    acc = np.multiply(2.0, k2, out=_empty(x.shape, acc_f))
+    np.add(k1, acc, out=acc)
+    # 2 k3 goes into the k4 stage's buffer before that stage is written
+    s4 = np.multiply(2.0, k3, out=_empty(x.shape, x_ok and v3 == "F"))
+    np.add(acc, s4, out=acc)
+    np.multiply(hx, k3, out=s4)
+    k4 = f(t + h, np.add(x, s4, out=s4))
+    np.add(acc, k4, out=acc)
+    np.multiply(hx / 6.0, acc, out=acc)
+    np.add(x, acc, out=acc)
+    if acc_f and not (x_ok and v3 == "F" and _vote(k4) != "C"):
+        return np.array(acc, order="C")  # k3, k4 or x turned the plain sum row-major
+    return acc
 
 
 def _substeps(t0: float, t1: float, step: float) -> int:
@@ -255,6 +332,9 @@ _STACK = _Stack()
 
 # the states of one block of rows, in bytes; the module docstring says why this size
 _BLOCK_BYTES = 128 * 1024
+# the smallest stack of states, in bytes, that rk4_step runs in its own
+# buffers: below it the plain expression is faster (the module docstring)
+_RK4_BUFFER_BYTES = 16 * 1024
 
 
 def _block_rows(width: int) -> int:
@@ -503,9 +583,15 @@ def _locate(rows, f, guard: GuardSpec, sign: np.ndarray, t_a: np.ndarray, x_a: n
     bad = residual > opts.tol_g
     if bad.any():
         r = _first(bad)
-        raise EventLocalizationError(
-            f"guard residual {residual[r]:.3e} above tol_g={opts.tol_g} after bisection at t={t_e[r]}"
-        )
+        msg = f"guard residual {residual[r]:.3e} above tol_g={opts.tol_g} after bisection at t={t_e[r]}"
+        width = t_hi[r] - t_lo[r]
+        if width > opts.tol_t:  # only adjacent floats stop a bracket this wide
+            ulp = math.ulp(t_e[r])
+            msg += (f": the bracket [{t_lo[r]}, {t_hi[r]}] is two adjacent floats, "
+                    f"ulp(t)={ulp:.3e} > tol_t={opts.tol_t}, and one ulp moves the guard by "
+                    f"about {abs(g_hi[r] - g_lo[r]) / width * ulp:.3e}, the order of the "
+                    f"smallest reachable residual")
+        raise EventLocalizationError(msg)
 
     grad_norm, deriv = rows.slope(guard, f, t_e, x_e)
     bad = grad_norm < opts.eps_grad

@@ -287,6 +287,13 @@ def test_generic_failure_exit_code():
     assert "out of range" in err
 
 
+def test_localization_failure_at_large_times_exit_code():
+    code, _, err = _run(["simulate", "--model", "bouncing-ball", "--e", "0.5", "--x0", "1,0",
+                         "--t0", "1e7", "--t", "10000000.5"])
+    assert code == 1
+    assert "ulp(t)=1.863e-09 > tol_t=1e-12" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         _run(["simulate", "--model", "no-such-model", "--x0", "1,0", "--t", "1"])

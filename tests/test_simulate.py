@@ -4,16 +4,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import saltlib as sl
 from saltlib.errors import (
     AmbiguousEvent,
     DegenerateGuard,
+    EventLocalizationError,
     NonFiniteState,
     TangentialEvent,
     ZenoSuspected,
 )
-from saltlib.simulate import _ONE_ROW, _STACK, _OneRow, _Stack, _locate, _rollout, _segment
+from saltlib.simulate import (_ONE_ROW, _RK4_BUFFER_BYTES, _STACK, _OneRow, _Stack, _locate, _rollout,
+                              _segment, _vote)
 
 G = 9.81
 
@@ -312,6 +315,23 @@ def test_bisection_stops_at_adjacent_floats_at_large_times(t0):
     assert n_calls[1] <= n_calls[0]
 
 
+def test_localization_failure_at_adjacent_floats_names_the_ulp():
+    # from t0 = 1e7 one ulp of time (1.86e-9 s) moves the falling ball's
+    # height by about 8e-9, so no float time gets its guard within tol_g
+    with pytest.raises(EventLocalizationError) as info:
+        sl.simulate(sl.bouncing_ball(e=0.5), 0, np.array([1.0, 0.0]), (1e7, 1e7 + 0.5))
+    msg = str(info.value)
+    assert msg.startswith("guard residual 3.188e-09 above tol_g=1e-10 after bisection at t=10000000.45152")
+    assert "is two adjacent floats, ulp(t)=1.863e-09 > tol_t=1e-12" in msg
+    assert "one ulp moves the guard by about 8.250e-09, the order of the smallest reachable residual" in msg
+    # a bracket that reached tol_t keeps the short message
+    sys_ = sl.bouncing_ball(e=0.5)
+    steep = replace(sys_, transitions=(replace(sys_.transitions[0], guard=sl.linear_guard(np.array([1e6, 0.0]))),))
+    with pytest.raises(EventLocalizationError) as info:
+        sl.simulate(steep, 0, np.array([1.0, 0.0]), (0.0, 0.5))
+    assert "ulp" not in str(info.value)
+
+
 def test_interpolate_and_segment_lookup():
     traj = sl.simulate(sl.bouncing_ball(e=0.5), 0, np.array([1.0, 0.0]), (0.0, 0.6))
     t_probe = 0.2
@@ -514,3 +534,157 @@ def test_bracket_ends_are_the_scans_guard_values():
     assert rows.tolist() == [0] and idx == 0
     assert t_e.tolist() == [0.5]
     assert x_minus.tolist() == [[0.0]]
+
+
+# ---------------------------------------------------------------------------
+# rk4_step's buffered form on large stacks
+
+
+def _plain_rk4(f, t, x, h, k1=None):
+    """rk4_step's arithmetic as one expression: the reference for its buffered form."""
+    hx = h[:, None] if isinstance(h, np.ndarray) else h
+    if k1 is None:
+        k1 = f(t, x)
+    k2 = f(t + 0.5 * h, x + (0.5 * hx) * k1)
+    k3 = f(t + 0.5 * h, x + (0.5 * hx) * k2)
+    k4 = f(t + h, x + hx * k3)
+    return x + (hx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _layout(a):
+    return a.flags.f_contiguous, a.flags.c_contiguous
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _floor_rows(n):
+    """The fewest rows of n floats that take the buffered form."""
+    return -(-_RK4_BUFFER_BYTES // (8 * n))
+
+
+_A20 = np.random.default_rng(3).standard_normal((20, 20)) / 20
+
+
+def _col(t):
+    """A float time, or one per row, against a row's coordinates."""
+    return np.asarray(t)[..., None]
+
+
+# fields of rows: elementwise, a matrix product (row-major results), a
+# transposed product (column-major results), and one whose result layout
+# alternates from call to call
+_FIELDS = {
+    "elementwise": lambda t, x: np.sin(x) * np.cos(_col(t)) - 0.3 * x * x,
+    "product": lambda t, x: x @ _A20[:x.shape[-1], :x.shape[-1]].T + 0.1 * _col(t),
+    "transposed": lambda t, x: (_A20[:x.shape[-1], :x.shape[-1]] @ x.T).T,
+}
+
+
+def _alternating():
+    calls = []
+
+    def f(t, x):
+        calls.append(None)
+        out = np.sin(x) - x * np.cos(_col(t))
+        return np.asfortranarray(out) if len(calls) % 2 else np.ascontiguousarray(out)
+    return f
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.sampled_from([2, 4, 20]), offset=st.sampled_from([None, -2, -1, 0, 1, 2, 37, 300]),
+       order=st.sampled_from("CF"), per_row_h=st.booleans(), pass_k1=st.booleans(),
+       field=st.sampled_from([*_FIELDS, "alternating"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_buffered_rk4_equals_the_expression_bit_for_bit(n, offset, order, per_row_h, pass_k1, field, seed):
+    # rows: one, or `offset` from the fewest that take the buffered form
+    rows = 1 if offset is None else _floor_rows(n) + offset
+    rng = np.random.default_rng(seed)
+    x = np.asarray(rng.standard_normal((rows, n)), order=order)
+    t, h = (rng.uniform(0, 2, rows), rng.uniform(1e-4, 1e-2, rows)) if per_row_h else (0.7, 1e-3)
+    results, seen = [], []
+    for step in (_plain_rk4, sl.rk4_step):
+        f = _alternating() if field == "alternating" else _FIELDS[field]
+        inputs = []
+
+        def recorded(t, x, f=f, inputs=inputs):
+            inputs.append((_layout(x), _bits(x).copy()))
+            return f(t, x)
+
+        k1 = recorded(t, x) if pass_k1 else None
+        results.append(step(recorded, t, x, h, k1))
+        seen.append(inputs)
+    (plain, buffered), (plain_in, buffered_in) = results, seen
+    assert (_bits(buffered) == _bits(plain)).all()
+    assert _layout(buffered) == _layout(plain)
+    # the field saw the same stage states, in the same layouts
+    assert len(buffered_in) == len(plain_in) == 4
+    for (lay_b, bits_b), (lay_p, bits_p) in zip(buffered_in, plain_in):
+        assert lay_b == lay_p and (bits_b == bits_p).all()
+
+
+def test_layout_votes_predict_numpy_result_layouts():
+    # _rk4_buffered lays its buffers out by _vote; numpy must agree on
+    # contiguous, reversed, strided, transposed and broadcast operands
+    rng = np.random.default_rng(4)
+
+    def operands(N, n):
+        base = rng.standard_normal((N, n))
+        wide, tall = rng.standard_normal((N, 2 * n)), rng.standard_normal((2 * N, n))
+        return [np.ascontiguousarray(base), np.asfortranarray(base),
+                np.ascontiguousarray(base)[::-1], np.asfortranarray(base)[:, ::-1],
+                wide[:, ::2], np.asfortranarray(wide)[:, ::2], tall[::2], np.asfortranarray(tall)[::2],
+                np.ascontiguousarray(base.T).T, np.broadcast_to(base[0], (N, n)),
+                np.broadcast_to(base[:, :1], (N, n))]
+
+    def column_major(a):
+        return a.flags.f_contiguous and not a.flags.c_contiguous
+
+    def predicted(*votes):
+        return "F" in votes and "C" not in votes
+
+    for N, n in [(50, 4), (4, 50), (7, 7), (1, 9), (9, 1)]:
+        ops = operands(N, n)
+        for a in ops:
+            for b in ops:
+                for c in (0.5, rng.standard_normal((N, 1))):
+                    # c k is laid out as k asks, row-major where k has no say
+                    ck = "F" if predicted(_vote(b)) else "C"
+                    assert column_major(a + c * b) == predicted(_vote(a), ck)
+                assert column_major(a + b) == predicted(_vote(a), _vote(b))
+
+
+# fields that hand back their input or a view of it, which the buffered form
+# must not write to after the field has seen it
+_ALIASING = {
+    "identity": lambda t, x: x,
+    "reversed coordinates": lambda t, x: x[..., ::-1],
+    "reversed rows": lambda t, x: x[::-1],
+    "first coordinate": lambda t, x: np.broadcast_to(x[..., :1], x.shape),
+}
+
+
+@pytest.mark.parametrize("name", list(_ALIASING))
+@pytest.mark.parametrize("pass_k1", [False, True])
+def test_buffered_rk4_never_writes_what_a_field_saw(name, pass_k1):
+    g = _ALIASING[name]
+    rows = 4 * _floor_rows(4)
+    X = np.asfortranarray(np.random.default_rng(8).standard_normal((rows, 4)))
+    for path, X_in in ((_STACK, X), (_ONE_ROW, X[:1])):
+        assert (X_in.nbytes >= _RK4_BUFFER_BYTES) == (path is _STACK)
+        received = []
+
+        def recording(t, x):
+            out = g(t, x)
+            received.append((x, x.copy(), out, np.array(out, copy=True)))
+            return out
+
+        k1 = path.first_stage(recording, 0.2, X_in) if pass_k1 else None
+        got = path.rk4(recording, 0.2, X_in, 1e-2, k1)
+        # every array the field received or returned still holds its values
+        assert len(received) == 4
+        for x_seen, x_copy, out, out_copy in received:
+            assert (_bits(x_seen) == _bits(x_copy)).all()
+            assert (_bits(out) == _bits(out_copy)).all()
+        copied = path.rk4(lambda t, x: np.array(g(t, x), copy=True), 0.2, X_in, 1e-2)
+        assert (_bits(got) == _bits(copied)).all()
