@@ -54,7 +54,7 @@ from .propagation import (
 )
 from .rigidbody import closed_form_saltation
 from .saltation import classify_structure, saltation_matrix
-from .simulate import _ONE_ROW, DEFAULT_STEP, SimOptions, _locate, simulate
+from .simulate import DEFAULT_STEP, GuardBracket, SimOptions, locate_event, simulate
 from .system import GuardSpec, HybridSystem, affine_field
 from .trajectory import HybridTrajectory
 
@@ -359,9 +359,9 @@ def _auto_period(sys_: HybridSystem, mode0: int, x0: np.ndarray, t0: float,
         raise SaltlibError("flow vanishes at x0; cannot build a return section")
     normal = f0 / nf
     scale = 1.0 + float(np.linalg.norm(x0))
-    # positive before the section, as the engine's bisection expects; not a
-    # rollout guard, since through an apex of the ball drop it would cross
-    # together with V->U and raise AmbiguousEvent
+    # positive before the section, the sign locate_event assumes for a bracket
+    # without candidates; not a rollout guard, since through an apex of the
+    # ball drop it would cross together with V->U and raise AmbiguousEvent
     section = GuardSpec(g=lambda t, x: -float((x - x0) @ normal),
                         jac_x=lambda t, x: -normal, jac_t=lambda t, x: 0.0)
 
@@ -375,10 +375,10 @@ def _auto_period(sys_: HybridSystem, mode0: int, x0: np.ndarray, t0: float,
             if seg.times[i] < t_min or not (near[i] or near[i + 1]):
                 continue
             if s_vals[i] < 0.0 <= s_vals[i + 1]:
-                t_e, _, _, _ = _locate(_ONE_ROW, sys_.modes[mode0].f, section, np.ones(1),
-                                       seg.times[i:i + 1], seg.states[i:i + 1],
-                                       seg.times[i + 1:i + 2], seg.states[i + 1:i + 2], opts)
-                return float(t_e[0]) - t0
+                bracket = GuardBracket(seg.times[i], seg.states[i], seg.times[i + 1],
+                                       seg.states[i + 1], ())
+                t_e, _ = locate_event(sys_, mode0, bracket, section, opts.tol_g, opts.tol_t)
+                return t_e - t0
     raise SaltlibError("no return to the initial section found within --t")
 
 

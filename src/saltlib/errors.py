@@ -40,7 +40,8 @@ class DegenerateGuard(SaltlibError):
 class ZenoSuspected(SaltlibError):
     """Event count exceeded max_events; accumulation point suspected.
 
-    Carries the partial trajectory so callers can inspect the event cascade.
+    From `simulate` it carries the partial trajectory so callers can inspect
+    the event cascade; the oracles, which record no trajectory, leave it None.
     """
 
     def __init__(self, msg: str, trajectory=None):

@@ -8,15 +8,15 @@ Carlo ensembles, LQR costs from brute-force closed-loop rollouts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import EventOrderChanged, SplitDistribution
 from .propagation import MatrixLike, _as_matrix_fn, variational_flow
-from .simulate import (_ONE_ROW, SimOptions, _block_rows, _flow_rows, _rollout, _stack_or_each_row,
-                       simulate)
+from .simulate import _ONE_ROW, SimOptions, _block_rows, _flow_rows, _rollout, _stack_or_each_row
 from .system import HybridSystem, ModeId, VectorFieldSpec
 from .trajectory import HybridTrajectory
 
@@ -251,33 +251,10 @@ def monte_carlo_covariance(
 def _controlled_system(sys: HybridSystem,
                        forcing: Callable[[float, np.ndarray], np.ndarray]) -> HybridSystem:
     """sys with forcing(t, x) added to the field of every mode."""
-    def wrap(spec: VectorFieldSpec) -> VectorFieldSpec:
-        base = spec.f
+    def forced(f: Callable[[float, np.ndarray], np.ndarray]) -> Callable:
+        return lambda t, x: np.asarray(f(t, x), dtype=float) + forcing(t, x)
 
-        def f(t, x, _base=base):
-            return np.asarray(_base(t, x), dtype=float) + forcing(t, x)
-
-        return VectorFieldSpec(dim=spec.dim, f=f)
-
-    return HybridSystem(
-        modes=tuple(wrap(m) for m in sys.modes),
-        transitions=sys.transitions,
-        mode_names=sys.mode_names,
-        transition_names=sys.transition_names,
-    )
-
-
-def _once_per_time(fn: Callable[[float], tuple]) -> Callable[[float], tuple]:
-    """fn evaluated once per distinct float time, for the life of the returned function."""
-    table: dict[float, tuple] = {}
-
-    def at(t: float) -> tuple:
-        value = table.get(t)
-        if value is None:
-            value = table[t] = fn(t)
-        return value
-
-    return at
+    return replace(sys, modes=tuple(VectorFieldSpec(m.dim, forced(m.f)) for m in sys.modes))
 
 
 def brute_force_cost(
@@ -300,7 +277,8 @@ def brute_force_cost(
     hybrid dynamics with feedback u = -K(t) (x - x_ref(t)) (policy None means
     u = 0), and accumulates dt (dx' Q dx + u' V u) on the rollout grid plus
     the terminal dx' P dx. Perturbations default to scale * N(0, I) draws
-    from a counter-based generator; pass explicit rows to pin them.
+    from a counter-based generator; pass explicit rows to pin them. Raises
+    ValueError unless there is at least one row, of the reference's width.
 
     policy.gain_at, Q, V and B must be functions of t alone: like
     ref.interpolate, each is evaluated once per distinct time within a call
@@ -317,10 +295,13 @@ def brute_force_cost(
         perturbations = scale * rng.standard_normal((n_rollouts, n))
     else:
         perturbations = np.atleast_2d(np.asarray(perturbations, dtype=float))
+    if perturbations.ndim != 2 or perturbations.shape[0] < 1 or perturbations.shape[1] != n:
+        raise ValueError(f"perturbations must be at least one row of shape ({n},) like the "
+                         f"reference's states, got an array of shape {perturbations.shape}")
 
     gain_at = (lambda t: None) if policy is None else policy.gain_at
-    stage = _once_per_time(lambda t: (ref.interpolate(t), gain_at(t), b_fn(t)))
-    weights = _once_per_time(lambda t: (q_fn(t), v_fn(t)))
+    stage = cache(lambda t: (ref.interpolate(t), gain_at(t), b_fn(t)))
+    weights = cache(lambda t: (q_fn(t), v_fn(t)))
 
     def control(t: float, x: np.ndarray) -> np.ndarray:
         x_ref, gain, b_t = stage(t)
@@ -329,22 +310,32 @@ def brute_force_cost(
     def forcing(t: float, x: np.ndarray) -> np.ndarray:
         return stage(t)[2] @ control(t, x)
 
+    # each rollout's running cost is summed as its samples arrive, over the
+    # grid intervals `simulate` would record, each weighted at its start
+    def sample(ids, t, X) -> None:
+        nonlocal cost, last
+        if last is not None:  # close the interval the segment's previous sample opened
+            t_a, x = last
+            q_t, v_t = weights(t_a)
+            dx = x - stage(t_a)[0]
+            u = control(t_a, x)
+            cost += (t - t_a) * (dx @ q_t @ dx + u @ v_t @ u)
+        last = t, X[0]
+
+    def event(ids, idx, t_e, x_minus, x_plus, residual, transversality) -> None:
+        nonlocal last
+        if t_e[0] > last[0]:  # else the event takes the latest sample's place: no interval
+            sample(ids, float(t_e[0]), x_minus)
+        last = None  # the next segment opens at its first sample, (t_e, x_plus)
+
     mode0 = ref.segments[0].mode
     csys = _controlled_system(sys, forcing)
-
+    P_T = np.asarray(P_terminal, dtype=float)
     total = 0.0
     for row in perturbations:
-        traj = simulate(csys, mode0, ref.x_start + row, (t0, t1), opts)
-        cost = 0.0
-        for seg in traj.segments:
-            for i in range(seg.times.size - 1):
-                t = float(seg.times[i])
-                dt = float(seg.times[i + 1]) - t
-                q_t, v_t = weights(t)
-                dx = seg.states[i] - stage(t)[0]
-                u = control(t, seg.states[i])
-                cost += dt * (dx @ q_t @ dx + u @ v_t @ u)
-        dx_end = traj.x_end - ref.x_end
-        cost += float(dx_end @ np.asarray(P_terminal, dtype=float) @ dx_end)
-        total += cost
+        cost, last = 0.0, None
+        X_f, _ = _rollout(_ONE_ROW, csys, mode0, t0, (ref.x_start + row)[None], t1, opts,
+                          sample, event)
+        dx_end = X_f[0] - ref.x_end
+        total += cost + float(dx_end @ P_T @ dx_end)
     return total / perturbations.shape[0]

@@ -16,6 +16,9 @@ interval starts with (K,) times; a Jacobian then returns (K, n, n), or one
 a column-major stack, so a callable must not rely on C-contiguity. A
 callable that does not broadcast over the leading row axis makes the engine's one driver run these paths one row (or
 interval) at a time (README "Simulation semantics").
+A callable must not write into its argument arrays or into an array it
+returned before: the engine reads results after later calls (RK4's k1..k3;
+one k1 serves a whole event bisection).
 Analytic Jacobians are optional on every spec; central finite differences
 fill in when absent, on 1-D states and on stacks alike.
 """

@@ -6,6 +6,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -683,6 +684,26 @@ def test_brute_force_cost_default_draws_are_seeded():
     assert a != c
 
 
+def _brute_force_cost_error(**rows) -> str:
+    sys_, ref = _damped_reference()
+    with pytest.raises(ValueError) as err:
+        sl.brute_force_cost(sys_, ref, np.eye(2), np.array([[1.0]]), np.array([[0.0], [1.0]]),
+                            np.eye(2), **rows)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("rows", [{"n_rollouts": 0}, {"perturbations": np.empty((0, 2))}])
+def test_brute_force_cost_rejects_empty_perturbations(rows):
+    msg = _brute_force_cost_error(**rows)
+    assert "at least one row of shape (2,)" in msg and "shape (0, 2)" in msg
+
+
+@pytest.mark.parametrize("rows, shape", [((2, 3), (2, 3)), ((3,), (1, 3)), ((1, 1, 2), (1, 1, 2))])
+def test_brute_force_cost_rejects_mis_sized_rows(rows, shape):
+    msg = _brute_force_cost_error(perturbations=np.zeros(rows))
+    assert "of shape (2,)" in msg and f"shape {shape}" in msg
+
+
 # ---------------------------------------------------------------------------
 # the oracles against one-run-at-a-time copies of themselves
 
@@ -871,6 +892,40 @@ def test_brute_force_cost_samples_gain_and_weights_once_per_distinct_time():
     for name in ("Q", "V"):
         assert set(calls[name].values()) == {1}, name
         assert set(calls[name]) == set(grid[:-1].tolist())
+
+
+@pytest.mark.parametrize("x0, t_end", [
+    ((0.5, 0.0), 0.5),  # the event falls on t_max: a last segment of one sample
+    ((0.5 + 1e-15, 0.0), 0.75),  # the event is located on the last grid sample
+])
+def test_brute_force_cost_equals_the_per_stage_loop_at_segment_ends(x0, t_end):
+    # the guard reads x[0] alone and B forces x[1] alone, so the closed loop
+    # crosses at the same grid point as the open loop checked here
+    sys_ = sl.constant_flow_two_mode((-1.0, 0.3), (-0.5, 0.2), (1.0, 0.0))
+    opts = sl.SimOptions(step=2.0 ** -10)
+    traj = sl.simulate(sys_, 0, np.array(x0), (0.0, t_end), opts)
+    (ev,) = traj.events
+    assert ev.t_event == 0.5
+    if t_end == 0.5:
+        assert traj.segments[-1].times.size == 1
+    else:
+        # still inside the domain: the scan sample the recording replaced
+        assert sys_.transitions[0].guard.value(ev.t_event, ev.x_minus) > 0.0
+
+    # a reference offset from the rollout by a constant, which the row cancels
+    offset = np.array([0.25, -0.125])
+    ref = sl.HybridTrajectory(
+        segments=tuple(replace(seg, states=seg.states + offset) for seg in traj.segments),
+        events=traj.events)
+    rows = -offset[None]
+    np.testing.assert_array_equal(ref.x_start + rows[0], x0)
+    weights = (np.eye(2), 0.5 * np.eye(1), np.array([[0.0], [1.0]]), np.eye(2))
+    policy = SimpleNamespace(gain_at=lambda t: np.array([[0.3, -0.2]]))
+    cost = sl.brute_force_cost(sys_, ref, *weights, policy=policy, perturbations=rows,
+                               options=opts)
+    assert cost > 0.0
+    expected = _brute_force_cost_per_stage(sys_, ref, *weights, policy, rows, opts)
+    assert cost.hex() == expected.hex()
 
 
 def test_lqr_schedule_beats_gain_shifts_across_the_switch(monkeypatch):
