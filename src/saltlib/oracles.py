@@ -119,21 +119,21 @@ def numeric_saltation(
         _rollout(rows, sys, mode0, t_start, X_start, t_stop, opts, event=first)
         return events
 
+    def run(k: int) -> str:
+        if k == 0:
+            return "the reference run"
+        return f"perturbation {1.0 if k % 2 else -1.0:+g}h along coordinate {(k - 1) // 2}"
+
     events = [ev for part in _stack_or_each_row(first_events, *X.shape) for ev in part]
     for k, ev in enumerate(events):
         if ev is None:
-            raise EventOrderChanged("a run reached t_stop without any event")
+            raise EventOrderChanged(f"{run(k)} reached t_stop={t_stop:g} without any event")
         if k == 0:
             idx0, t_e0, x_plus0 = ev
             if expected_transition is not None and idx0 != expected_transition:
-                raise EventOrderChanged(
-                    f"reference run fired transition {idx0}, expected {expected_transition}"
-                )
+                raise EventOrderChanged(f"{run(k)} fired transition {idx0}, expected {expected_transition}")
         elif ev[0] != idx0:
-            raise EventOrderChanged(
-                f"perturbation {1.0 if k % 2 else -1.0:+g}h along coordinate {(k - 1) // 2} "
-                f"changed the first transition from {idx0} to {ev[0]}"
-            )
+            raise EventOrderChanged(f"{run(k)} changed the first transition from {idx0} to {ev[0]}")
 
     mode_j = sys.transitions[idx0].to_mode
     f_j = sys.modes[mode_j].f
@@ -212,17 +212,22 @@ def monte_carlo_covariance(
     Raises SplitDistribution when more than split_tol of the samples execute
     a different event sequence than the mean trajectory does: a covariance
     summary is not meaningful across diverging branches. Raises ValueError
-    for fewer than 2 samples, which have no sample covariance.
+    for fewer than 2 samples, which have no sample covariance, and for a
+    sigma0 that is not (n, n) for a mean0 of n coordinates.
     """
     if n_samples < 2:
         raise ValueError(f"a sample covariance needs n_samples >= 2, got {n_samples}")
     opts = options or SimOptions()
     mean0 = np.asarray(mean0, dtype=float)
+    sigma0 = np.asarray(sigma0, dtype=float)
     n = mean0.size
+    if sigma0.shape != (n, n):
+        raise ValueError(f"sigma0 must have shape ({n}, {n}) to match mean0 of shape "
+                         f"{mean0.shape}, got an array of shape {sigma0.shape}")
     t0, t1 = float(t_span[0]), float(t_span[1])
 
     rng = np.random.Generator(np.random.Philox(seed))
-    L = _psd_sqrt(np.asarray(sigma0, dtype=float))
+    L = _psd_sqrt(sigma0)
     X0 = mean0 + rng.standard_normal((n_samples, n)) @ L.T
 
     _, (nominal_code,) = _rollout(_ONE_ROW, sys, mode0, t0, mean0[None], t1, opts)
@@ -246,15 +251,6 @@ def monte_carlo_covariance(
 
 # ---------------------------------------------------------------------------
 # brute-force quadratic cost
-
-
-def _controlled_system(sys: HybridSystem,
-                       forcing: Callable[[float, np.ndarray], np.ndarray]) -> HybridSystem:
-    """sys with forcing(t, x) added to the field of every mode."""
-    def forced(f: Callable[[float, np.ndarray], np.ndarray]) -> Callable:
-        return lambda t, x: np.asarray(f(t, x), dtype=float) + forcing(t, x)
-
-    return replace(sys, modes=tuple(VectorFieldSpec(m.dim, forced(m.f)) for m in sys.modes))
 
 
 def brute_force_cost(
@@ -307,14 +303,16 @@ def brute_force_cost(
         x_ref, gain, b_t = stage(t)
         return np.zeros(b_t.shape[1]) if gain is None else -(gain @ (x - x_ref))
 
-    def forcing(t: float, x: np.ndarray) -> np.ndarray:
-        return stage(t)[2] @ control(t, x)
+    def forced(f: Callable[[float, np.ndarray], np.ndarray]) -> Callable:
+        return lambda t, x: np.asarray(f(t, x), dtype=float) + stage(t)[2] @ control(t, x)
 
-    # each rollout's running cost is summed as its samples arrive, over the
-    # grid intervals `simulate` would record, each weighted at its start
+    # each rollout's running cost is summed as the samples `simulate` would
+    # record arrive, each closing the interval the previous one opened,
+    # weighted at its start; the interval a segment's first sample (t_e,
+    # x_plus) closes, from the last sample of the one before, has zero length
     def sample(ids, t, X) -> None:
         nonlocal cost, last
-        if last is not None:  # close the interval the segment's previous sample opened
+        if last is not None:
             t_a, x = last
             q_t, v_t = weights(t_a)
             dx = x - stage(t_a)[0]
@@ -322,20 +320,13 @@ def brute_force_cost(
             cost += (t - t_a) * (dx @ q_t @ dx + u @ v_t @ u)
         last = t, X[0]
 
-    def event(ids, idx, t_e, x_minus, x_plus, residual, transversality) -> None:
-        nonlocal last
-        if t_e[0] > last[0]:  # else the event takes the latest sample's place: no interval
-            sample(ids, float(t_e[0]), x_minus)
-        last = None  # the next segment opens at its first sample, (t_e, x_plus)
-
     mode0 = ref.segments[0].mode
-    csys = _controlled_system(sys, forcing)
+    csys = replace(sys, modes=tuple(VectorFieldSpec(m.dim, forced(m.f)) for m in sys.modes))
     P_T = np.asarray(P_terminal, dtype=float)
     total = 0.0
     for row in perturbations:
         cost, last = 0.0, None
-        X_f, _ = _rollout(_ONE_ROW, csys, mode0, t0, (ref.x_start + row)[None], t1, opts,
-                          sample, event)
+        X_f, _ = _rollout(_ONE_ROW, csys, mode0, t0, (ref.x_start + row)[None], t1, opts, sample)
         dx_end = X_f[0] - ref.x_end
         total += cost + float(dx_end @ P_T @ dx_end)
     return total / perturbations.shape[0]

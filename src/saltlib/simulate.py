@@ -9,8 +9,10 @@ float time while the rows share one, else an (N,) array. The batched callers
 propagation's linearization) go through `_stack_or_each_row`, the one place
 that chooses: the stack, or one row at a time where a callable does not
 broadcast over a leading row axis. The engine builds no trajectory: a caller
-observes a rollout through two optional hooks, one on each grid sample and
-one on each located event, which may end its rows there (`_rollout`).
+observes a rollout through two optional hooks, one on each sample `simulate`
+records (the grid samples, and (t_e, x_minus) where an event is later than
+the last of them) and one on each located event, which may end its rows
+there (`_rollout`).
 `_Recorder` records one row for `simulate` and `integrate_segment`.
 
 The stack runs in consecutive blocks of rows, each block to its end before
@@ -384,6 +386,11 @@ def _join(parts: list) -> np.ndarray:
     return np.concatenate([p.T for p in parts], axis=-1).T
 
 
+def _shared(t):
+    """Per-row times as one float time if they are all equal."""
+    return float(t[0]) if isinstance(t, np.ndarray) and t.size and (t == t[0]).all() else t
+
+
 def _per_row(t, n: int) -> np.ndarray:
     """A shared float time (or flag) as one value per row."""
     return t if isinstance(t, np.ndarray) else np.full(n, t)
@@ -460,7 +467,8 @@ def _segment(rows, sys: HybridSystem, mode: ModeId, ids: np.ndarray, t, X: np.nd
     the rows' shared float time or an array of their own times. The stack
     starts column-major; the field's results set its layout from the first
     RK4 stage on. `sample(ids, t, X)` sees every grid sample of the rows
-    still running, up to their brackets' left ends.
+    still running, up to their brackets' left ends, with t a float while the
+    rows share one; `_rollout` adds their events' pre-event samples.
     Returns a list of (ids, states) of the rows that reached t_max and the
     _Brackets of the rows that crossed, or None.
     """
@@ -660,12 +668,16 @@ def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, 
     The rows that enter a mode together are integrated, localized and reset
     together, one transition at a time. Returns the final states and, per
     row, its event sequence coded in base len(transitions) + 1. A row's id is
-    its index in X0. Two optional hooks observe the run: `sample` sees the
-    grid samples of each segment as `_segment` gives them, and
-    `event(ids, transition index, t_event, x_minus, x_plus, guard_residual,
-    transversality)` each group of rows that fired one transition, after its
-    reset. A true result from `event` ends those rows there: their final
-    states are left unset and their codes do not count that event.
+    its index in X0. Two optional hooks observe the run: `sample(ids, t, X)`
+    sees each segment's grid samples as `_segment` gives them and, in one
+    call once its brackets are localized, (t_event, x_minus) of every row
+    whose event is later than its last grid sample; a row whose event was
+    located onto that sample gets none, as its x_minus has that sample's
+    bits. So `sample` sees what `simulate` records. `event(ids, transition
+    index, t_event, x_minus, x_plus, guard_residual, transversality)` sees
+    each group of rows that fired one transition, after its reset. A true
+    result from `event` ends those rows there: their final states are left
+    unset and their codes do not count that event.
     """
     diags = validate_system(sys)
     if diags:
@@ -687,9 +699,7 @@ def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, 
             ids = np.concatenate([p[0] for p in parts])
             X = _join([p[2] for p in parts])
             t = np.concatenate([_per_row(p[1], p[0].size) for p in parts])
-        if isinstance(t, np.ndarray) and t.size and (t == t[0]).all():
-            t = float(t[0])
-        ended, br = _segment(rows, sys, mode, ids, t, X, t_max, opts.step, sample)
+        ended, br = _segment(rows, sys, mode, ids, _shared(t), X, t_max, opts.step, sample)
         finals += ended
         if br is None:
             continue
@@ -701,6 +711,9 @@ def _rollout(rows, sys: HybridSystem, mode0: ModeId, t0: float, X0: np.ndarray, 
                 f"event count exceeded max_events={opts.max_events} near t={br.t_lo.min()}"
             )
         j_e, t_e, x_minus, res, deriv = _resolve(rows, sys, mode, br, opts)
+        later = t_e > br.t_lo  # an event after the last grid sample is one more sample
+        if sample is not None and later.any():
+            sample(br.ids[later], _shared(t_e[later]), _rows(x_minus, later))
 
         for j, (idx, tr) in enumerate(sys.outgoing(mode)):
             sub = np.flatnonzero(j_e == j)
@@ -771,7 +784,7 @@ def _flow_rows(rows, f, t0, X: np.ndarray, t1: float, step: float) -> np.ndarray
 
 class _Recorder:
     """The sample and event hooks that record a one-row rollout as a
-    HybridTrajectory: each segment's mode and grid, and each event."""
+    HybridTrajectory: each segment's mode and samples, and each event."""
 
     def __init__(self, sys: HybridSystem, mode: ModeId):
         self.sys = sys
@@ -782,14 +795,8 @@ class _Recorder:
         self.grids[-1][2].append(X[0])
 
     def event(self, ids, idx, t_e, x_minus, x_plus, residual, transversality):
-        t, (_, times, states) = float(t_e[0]), self.grids[-1]
-        if t > times[-1]:
-            self.sample(ids, t, x_minus)
-        else:
-            # event localized onto the last sample; replace to keep strict ordering
-            times[-1], states[-1] = t, x_minus[0]
         self.events.append(EventRecord(
-            t_event=t,
+            t_event=float(t_e[0]),
             transition_index=idx,
             x_minus=np.array(x_minus[0], copy=True),
             x_plus=np.array(x_plus[0], copy=True),

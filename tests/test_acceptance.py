@@ -11,6 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 import saltlib as sl
 from saltlib.cli import main as cli_main
@@ -271,6 +272,7 @@ def test_criterion_04_saltation_structure_flags_match_transition_table():
     assert elapsed < 5.0
 
 
+@pytest.mark.slow
 def test_criterion_05_covariance_collapse_and_monte_carlo_agreement():
     t0 = time.monotonic()
     theta = 0.3
@@ -406,6 +408,7 @@ def test_criterion_07_event_step_sandwich_matches_finite_difference():
     assert elapsed < 10.0
 
 
+@pytest.mark.slow
 def test_criterion_08_riccati_jump_psd_and_lqr_beats_perturbed_gains():
     t0 = time.monotonic()
 
@@ -499,6 +502,7 @@ def test_criterion_09_saltation_prediction_first_order_convergence():
     assert elapsed < 10.0
 
 
+@pytest.mark.slow
 def test_criterion_10_verify_command_deterministic_and_green(tmp_path):
     t0 = time.monotonic()
     out_a = tmp_path / "report_a.json"

@@ -345,6 +345,7 @@ def test_covariance_exit_code_follows_the_printed_pass_flag(monkeypatch):
     assert code == 6
 
 
+@pytest.mark.slow
 def test_verify_battery_is_deterministic(tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify", "--seed", "7", "--mc-samples", "20000"]
@@ -360,6 +361,7 @@ def test_verify_battery_is_deterministic(tmp_path):
     assert all(c["pass"] for c in doc["checks"])
 
 
+@pytest.mark.slow
 def test_verify_responds_to_seed():
     code1, out1, _ = _run(["verify", "--seed", "7", "--mc-samples", "5000"])
     code2, out2, _ = _run(["verify", "--seed", "8", "--mc-samples", "5000"])

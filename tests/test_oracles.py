@@ -2,6 +2,7 @@
 brute-force rollout costs, and the comparison helpers."""
 
 import importlib
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -133,6 +134,31 @@ def test_numeric_saltation_requires_an_event_near_the_anchor():
     sys_ = sl.bouncing_ball(e=0.5)
     with pytest.raises(sl.EventOrderChanged):
         sl.numeric_saltation(sys_, 0, np.array([1.0, 0.0]), 0.0)
+
+
+def _creep():
+    """x0 creeps onto the guard x0 = 0 at the rate x1, which nothing changes."""
+    zero = np.zeros((2, 2))
+    creep = sl.affine_field(np.array([[0.0, -1.0], [0.0, 0.0]]), np.zeros(2))
+    return sl.HybridSystem(
+        modes=(creep, sl.affine_field(zero, np.zeros(2))),
+        transitions=(sl.TransitionSpec(from_mode=0, to_mode=1,
+                                       guard=sl.linear_guard(np.array([1.0, 0.0])),
+                                       reset=sl.identity_reset(2)),))
+
+
+@pytest.mark.parametrize("case, run", [
+    # a ball 5 m up at t = 0.1 s does not land within the oracle's window
+    ((sl.bouncing_ball(0.5), np.array([5.0, 0.0])), "the reference run"),
+    # creeping at 1e-6 m/s, the reference lands at t = 0.1 s, but its +h
+    # twin starts 1e-6 m farther off and needs another second
+    ((_creep(), np.array([0.0, 1e-6])), "perturbation +1h along coordinate 0"),
+])
+def test_numeric_saltation_names_the_run_that_found_no_event(case, run):
+    sys_, x_ref = case
+    with pytest.raises(sl.EventOrderChanged, match=rf"^{re.escape(run)} reached t_stop=0\.104 "
+                                                   r"without any event$"):
+        sl.numeric_saltation(sys_, 0, x_ref, 0.1)
 
 
 def test_numeric_saltation_checks_expected_transition():
@@ -448,6 +474,18 @@ def test_monte_carlo_needs_two_samples(n_samples):
     with pytest.raises(ValueError, match="n_samples >= 2"):
         sl.monte_carlo_covariance(_constant_flow(), 0, np.array([0.0, 0.1]), 1e-4 * np.eye(2),
                                   (0.0, 0.2), n_samples=n_samples)
+
+
+@pytest.mark.parametrize("mean0, sigma0", [
+    (np.zeros(3), np.eye(2)),
+    (np.zeros(2), np.eye(3)),
+    (np.zeros(2), np.ones(2)),
+])
+def test_monte_carlo_rejects_a_sigma0_that_does_not_match_mean0(mean0, sigma0):
+    match = (rf"sigma0 must have shape \({mean0.size}, {mean0.size}\) to match mean0 of shape "
+             rf"{re.escape(str(mean0.shape))}, got an array of shape {re.escape(str(sigma0.shape))}")
+    with pytest.raises(ValueError, match=match):
+        sl.monte_carlo_covariance(_constant_flow(), 0, mean0, sigma0, (0.0, 0.2), n_samples=8)
 
 
 def test_monte_carlo_gap_shrinks_like_root_n():

@@ -200,6 +200,44 @@ def test_event_at_t_max_ends_with_a_one_sample_segment():
         assert x_f.tolist() == sl.simulate(sys_, 0, x0, (0.0, 0.5), opts).x_end.tolist()
 
 
+def test_sample_sees_an_event_later_than_the_last_grid_sample_once_before_event():
+    # the guard x[0] = 0 on a 2^-10 grid. Row 0 is still 1e-15 inside the
+    # domain at the grid sample t = 0.5, and its event is located onto that
+    # sample; row 1 crosses strictly inside the step after it, near 0.5 + 2^-11
+    sys_ = sl.constant_flow_two_mode((-1.0, 0.3), (-0.5, 0.2), (1.0, 0.0))
+    opts = sl.SimOptions(step=2.0 ** -10)
+    X0 = np.array([[0.5 + 1e-15, 0.0], [0.5 + 2.0 ** -11, 0.0]])
+    calls, seen = [], [[], []]
+
+    def sample(ids, t, X):
+        calls.append(("sample", ids.tolist(), t))
+        for k, i in enumerate(ids):
+            seen[i].append((t if isinstance(t, float) else float(t[k]), X[k].tobytes()))
+
+    def event(ids, idx, t_e, x_minus, x_plus, residual, transversality):
+        calls.append(("event", ids.tolist(), t_e.tolist()))
+        for k, i in enumerate(ids):
+            seen[i].append(("event", float(t_e[k]), x_minus[k].tobytes(), x_plus[k].tobytes()))
+
+    _rollout(_STACK, sys_, 0, 0.0, X0, 0.75, opts, sample, event)
+    (k,) = [k for k, call in enumerate(calls) if call[0] == "event"]
+    _, ids, t_e = calls[k]
+    assert ids == [0, 1] and t_e[0] == 0.5 and 0.5 < t_e[1] < 0.5 + opts.step
+    # the scan's last grid sample of both rows, then row 1's (t_e, x_minus)
+    # alone, with a float time, then the event
+    assert calls[k - 2] == ("sample", [0, 1], 0.5)
+    assert calls[k - 1] == ("sample", [1], t_e[1]) and type(calls[k - 1][2]) is float
+    for log in seen:
+        (k,) = [k for k, item in enumerate(log) if item[0] == "event"]
+        _, t_ev, x_minus, x_plus = log[k]
+        # each row's last sample before its event is (t_e, x_minus), bit for
+        # bit, and its next one (t_e, x_plus); no time is sampled twice
+        assert log[k - 1] == (t_ev, x_minus)
+        assert log[k + 1] == (t_ev, x_plus)
+        times = [t for t, _ in log[:k]]
+        assert times == sorted(set(times))
+
+
 def test_tangential_graze_is_rejected():
     # parabola dips 1e-13 below the guard; crossing slope ~6e-9 is below eps_trans
     a, delta = 1e-4, 1e-13
